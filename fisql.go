@@ -162,28 +162,28 @@ func (s *System) Observe(r *obs.Registry) {
 		b.SetFlushObserver(func(_ int, wait time.Duration) { waits.Observe(wait) })
 	}
 	if s.DS != nil && len(s.DS.DBs) > 0 {
-		// Engine columnar-execution counters, summed across the corpus's
-		// databases (each Database keeps its own atomic tallies).
+		// Engine execution counters, summed across the corpus's databases
+		// (each Database keeps its own atomic tallies): which path ran a
+		// statement, and whether a subquery evaluation was answered by the
+		// per-statement memo or had to execute.
 		dbs := make([]*engine.Database, 0, len(s.DS.DBs))
 		for _, db := range s.DS.DBs {
 			dbs = append(dbs, db)
 		}
-		r.CounterFunc("fisql_engine_columnar_hits_total", func() int64 {
-			var n int64
-			for _, db := range dbs {
-				h, _ := db.ColumnarStats()
-				n += h
-			}
-			return n
-		})
-		r.CounterFunc("fisql_engine_columnar_fallbacks_total", func() int64 {
-			var n int64
-			for _, db := range dbs {
-				_, f := db.ColumnarStats()
-				n += f
-			}
-			return n
-		})
+		sum := func(name string, read func(*engine.Database) int64) {
+			r.CounterFunc(name, func() int64 {
+				var n int64
+				for _, db := range dbs {
+					n += read(db)
+				}
+				return n
+			})
+		}
+		sum("fisql_engine_columnar_hits_total", func(db *engine.Database) int64 { h, _ := db.ColumnarStats(); return h })
+		sum("fisql_engine_columnar_fallbacks_total", func(db *engine.Database) int64 { _, f := db.ColumnarStats(); return f })
+		sum("fisql_engine_subquery_closed_execs_total", func(db *engine.Database) int64 { return db.SubqueryStats().ClosedExecs })
+		sum("fisql_engine_subquery_memo_hits_total", func(db *engine.Database) int64 { return db.SubqueryStats().MemoHits })
+		sum("fisql_engine_subquery_open_execs_total", func(db *engine.Database) int64 { return db.SubqueryStats().OpenExecs })
 	}
 }
 

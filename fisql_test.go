@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fisql/internal/engine"
+	"fisql/internal/obs"
 )
 
 var (
@@ -90,5 +93,27 @@ func TestCorpusShapes(t *testing.T) {
 	}
 	if sys.Store.Len() == 0 {
 		t.Error("empty demonstration store")
+	}
+}
+
+// TestObserveEngineSubqueryCounters checks that Observe surfaces the engine's
+// per-database subquery tallies: a closed subquery under an N-row scan is one
+// execution and N-1 memo hits, whichever path ran the scan.
+func TestObserveEngineSubqueryCounters(t *testing.T) {
+	sys := aepSystem(t)
+	r := obs.NewRegistry()
+	sys.Observe(r)
+	before := r.Snapshot().Counters
+	db := sys.DS.DBs["experience_platform"]
+	seg, _ := db.Table("hkg_dim_segment")
+	const sql = "SELECT segment_id FROM hkg_dim_segment WHERE segment_id IN (SELECT segment_id FROM hkg_fact_activation)"
+	if _, err := engine.NewExecutor(db).Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	after := r.Snapshot().Counters
+	moved := func(name string) int64 { return after[name] - before[name] }
+	if e, h, o := moved("fisql_engine_subquery_closed_execs_total"), moved("fisql_engine_subquery_memo_hits_total"),
+		moved("fisql_engine_subquery_open_execs_total"); e != 1 || h != int64(len(seg.Rows))-1 || o != 0 {
+		t.Errorf("closed execs %d, memo hits %d, open execs %d over %d rows", e, h, o, len(seg.Rows))
 	}
 }

@@ -59,6 +59,12 @@ type Database struct {
 	// double-counting when several systems share one metrics registry.
 	colHits      atomic.Int64
 	colFallbacks atomic.Int64
+
+	// Subquery execution tallies, published by each Run as it ends (see
+	// SubqueryStats in subquery.go).
+	subClosedExecs atomic.Int64
+	subMemoHits    atomic.Int64
+	subOpenExecs   atomic.Int64
 }
 
 // ColumnarStats reports how many planned executions the vectorized columnar

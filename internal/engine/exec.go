@@ -35,6 +35,11 @@ type Executor struct {
 	// likePatterns memoizes lowercased LIKE patterns so the per-row match
 	// does not re-lower the pattern for every candidate row.
 	likePatterns map[string]string
+	// memo holds the current Run's closed-subquery results, one slot per
+	// plan.subs entry, allocated on first use; subStats tallies the Run's
+	// subquery executions. See subquery.go.
+	memo     []subMemo
+	subStats SubqueryStats
 }
 
 // DefaultColumnarMinRows is the table size below which aggregated
@@ -90,7 +95,10 @@ func (ex *Executor) Run(p *Plan) (*Result, error) {
 	}
 	prev := ex.plan
 	ex.plan = p
-	defer func() { ex.plan = prev }()
+	defer func() {
+		ex.plan = prev
+		ex.endRun()
+	}()
 	if !ex.noColumnar {
 		if res, ok := ex.runVec(p); ok {
 			ex.db.colHits.Add(1)
@@ -174,7 +182,7 @@ func (env *rowEnv) lookup(table, col string) (Value, error) {
 // base table errors instead of exhausting memory downstream.
 func (ex *Executor) sourceRows(ts sqlast.TableSource, outer *rowEnv) (alias string, cols []string, rows [][]Value, err error) {
 	if ts.Sub != nil {
-		res, err := ex.execSelect(ts.Sub, outer)
+		res, err := ex.subResult(ts.Sub, outer, ex.memoFor(ts.Sub))
 		if err != nil {
 			return "", nil, nil, err
 		}
@@ -537,38 +545,14 @@ func (ex *Executor) equiJoinSpec(envs []*rowEnv, j *sqlast.Join, jAlias string, 
 
 	// Verify the key domain is homogeneous (all numeric or all text across
 	// both sides' non-NULL values); Bool or a mixed domain bails out.
-	const (
-		domNone = iota
-		domNum
-		domText
-	)
 	dom := domNone
-	classify := func(v Value) bool {
-		switch v.T {
-		case TypeNull:
-			return true
-		case TypeInt, TypeFloat:
-			if dom == domText {
-				return false
-			}
-			dom = domNum
-			return true
-		case TypeText:
-			if dom == domNum {
-				return false
-			}
-			dom = domText
-			return true
-		}
-		return false // TypeBool equates with both numbers and text
-	}
 	for _, le := range envs {
-		if !classify(le.bindings[spec.leftBinding].vals[spec.leftCol]) {
+		if dom = dom.with(le.bindings[spec.leftBinding].vals[spec.leftCol]); dom == domMixed {
 			return nil, false
 		}
 	}
 	for _, r := range jRows {
-		if !classify(r[spec.rightCol]) {
+		if dom = dom.with(r[spec.rightCol]); dom == domMixed {
 			return nil, false
 		}
 	}
@@ -854,7 +838,7 @@ func (ex *Executor) eval(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (Value, error
 		}
 		return Bool(isNull), nil
 	case *sqlast.ExistsExpr:
-		res, err := ex.execSelect(x.Sub, env)
+		res, err := ex.subResult(x.Sub, env, ex.memoFor(x.Sub))
 		if err != nil {
 			return Value{}, err
 		}
@@ -864,7 +848,7 @@ func (ex *Executor) eval(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (Value, error
 		}
 		return Bool(exists), nil
 	case *sqlast.SubqueryExpr:
-		res, err := ex.execSelect(x.Sub, env)
+		res, err := ex.subResult(x.Sub, env, ex.memoFor(x.Sub))
 		if err != nil {
 			return Value{}, err
 		}
@@ -1008,12 +992,27 @@ func (ex *Executor) evalIn(x *sqlast.InExpr, env *rowEnv, ctx *evalCtx) (Value, 
 	}
 	var candidates []Value
 	if x.Sub != nil {
-		res, err := ex.execSelect(x.Sub, env)
+		m := ex.memoFor(x.Sub)
+		res, err := ex.subResult(x.Sub, env, m)
 		if err != nil {
 			return Value{}, err
 		}
 		if len(res.Columns) != 1 {
 			return Value{}, fmt.Errorf("IN subquery returned %d columns", len(res.Columns))
+		}
+		if m != nil {
+			// Closed: the candidate column is the same for every row of
+			// this Run, so it is folded into a set once.
+			if m.in == nil {
+				m.in = newInSet(res.Rows)
+			}
+			switch {
+			case m.in.contains(v):
+				return Bool(!x.Not), nil
+			case m.in.sawNull:
+				return Null(), nil
+			}
+			return Bool(x.Not), nil
 		}
 		candidates = make([]Value, 0, len(res.Rows))
 		for _, row := range res.Rows {

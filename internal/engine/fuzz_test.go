@@ -1,7 +1,8 @@
 // Execution differential fuzzing: the planned+cached execution path must
 // never panic and must agree byte-for-byte with the dynamic-lookup
-// interpreter (hash joins off) on every input — gold SQL, trap variants,
-// demonstration pool, and whatever mutations the fuzzer derives from them.
+// interpreter (plan-less Select: no slots, no subquery memo, hash joins off)
+// on every input — gold SQL, trap variants, demonstration pool, and whatever
+// mutations the fuzzer derives from them.
 //
 // This lives in an external test package because the seed corpus comes from
 // internal/dataset, which itself imports internal/engine.
@@ -18,6 +19,7 @@ import (
 	"fisql/internal/dataset/aep"
 	"fisql/internal/dataset/spider"
 	"fisql/internal/engine"
+	"fisql/internal/sqlparse"
 )
 
 // fuzzWorld lazily builds both corpora's databases once per process; fuzz
@@ -60,6 +62,23 @@ func fuzzSetup() error {
 		if fuzzWorld.err != nil {
 			return
 		}
+		// Subquery shapes the per-Run memo must not change the meaning of:
+		// closed beneath correlated, NOT IN over a NULL candidate, an empty
+		// EXISTS, a closed derived table re-read per outer row, and closed
+		// subqueries outside WHERE.
+		for _, q := range []string{
+			"SELECT name FROM stadium AS s WHERE EXISTS (SELECT 1 FROM concert AS c WHERE c.stadium_id = s.stadium_id AND c.year IN (SELECT MAX(year) FROM concert))",
+			"SELECT name FROM singer WHERE age NOT IN (SELECT NULL UNION ALL SELECT 32)",
+			"SELECT name FROM singer WHERE singer_id NOT IN (SELECT stadium_id FROM concert WHERE year > 2014)",
+			"SELECT name FROM singer WHERE EXISTS (SELECT 1 FROM concert LIMIT 0)",
+			"SELECT name FROM stadium AS s WHERE capacity > (SELECT AVG(d.capacity) FROM (SELECT capacity FROM stadium WHERE capacity > 1000) AS d WHERE d.capacity <> s.capacity)",
+			"SELECT name FROM singer ORDER BY (SELECT MAX(year) FROM concert), name LIMIT 3",
+			"SELECT country, COUNT(*) FROM singer GROUP BY country HAVING COUNT(*) >= (SELECT MIN(age) FROM singer) - 30",
+			"SELECT name FROM singer WHERE age = (SELECT singer_id, age FROM singer)",
+			"SELECT name FROM singer WHERE singer_id IN (SELECT stadium_id FROM concert UNION SELECT singer_id FROM singer ORDER BY stadium_id)",
+		} {
+			fuzzWorld.seeds = append(fuzzWorld.seeds, [2]string{"concert_singer", q})
+		}
 		// A row-scaled corpus variant, so the differential also runs where
 		// the columnar kernels process real batch sizes. Seeded with the
 		// scan/filter/aggregate shapes the vectorized path specializes.
@@ -89,6 +108,19 @@ func fuzzSetup() error {
 		}
 	})
 	return fuzzWorld.err
+}
+
+// runOracle executes sql on the reference interpreter: parsed per call, no
+// plan (every reference looked up by name, every subquery re-executed per
+// evaluation), nested-loop joins only.
+func runOracle(db *engine.Database, sql string) (*engine.Result, error) {
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		return nil, err
+	}
+	ex := engine.NewExecutor(db)
+	ex.SetHashJoin(false)
+	return ex.Select(sel)
 }
 
 // runRowLeg executes a cached plan on a columnar-disabled executor — the
@@ -144,10 +176,7 @@ func FuzzExecPlannedVsDynamic(f *testing.F) {
 		// plan-reuse path (shared immutable plan, fresh executor).
 		planned1, err1 := fuzzWorld.cache.Query(db, sql)
 		planned2, err2 := fuzzWorld.cache.Query(db, sql)
-		// Reference path: parse-per-call dynamic lookup, no hash joins.
-		ex := engine.NewExecutor(db)
-		ex.SetHashJoin(false)
-		dynamic, errD := ex.Query(sql)
+		dynamic, errD := runOracle(db, sql)
 
 		if (err1 == nil) != (errD == nil) {
 			t.Fatalf("planned err=%v dynamic err=%v\nsql: %q", err1, errD, sql)
@@ -205,9 +234,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 	for _, s := range fuzzWorld.seeds {
 		db := fuzzWorld.dbs[s[0]]
 		planned, errP := fuzzWorld.cache.Query(db, s[1])
-		ex := engine.NewExecutor(db)
-		ex.SetHashJoin(false)
-		dynamic, errD := ex.Query(s[1])
+		dynamic, errD := runOracle(db, s[1])
 		row, errR, hasPlan := runRowLeg(db, s[1])
 		vec, errV, hasVec := runVecLeg(db, s[1])
 		switch {

@@ -51,6 +51,12 @@ type Plan struct {
 	cols  map[*sqlast.ColumnRef]colSlot
 	diags []string
 
+	// subs lists the statement's classified subqueries in source-walk order
+	// and subIdx finds a subquery's entry (and per-Run memo slot) by node.
+	// Both are nil for a statement without subqueries.
+	subs   []planSub
+	subIdx map[*sqlast.SelectStmt]int
+
 	// vec lazily caches the statement's columnar qualification (see vec.go):
 	// built on first Run, shared by every executor running this plan. The
 	// build is deterministic, so a racing double-build stores equal values.
@@ -65,6 +71,51 @@ type Plan struct {
 func (p *Plan) Diagnostics() []string {
 	out := make([]string, len(p.diags))
 	copy(out, p.diags)
+	return out
+}
+
+// planSub is one classified subquery: a scalar, EXISTS or IN subquery, or a
+// derived table beneath one of those (a top-level derived table runs once
+// per statement anyway and is not classified). A subquery is closed when
+// every column reference beneath it resolves to a scope inside it: its
+// result cannot depend on the outer row, so Run executes it once per
+// statement. open holds the reason it is not.
+type planSub struct {
+	sel  *sqlast.SelectStmt
+	open string            // "" when closed
+	ref  *sqlast.ColumnRef // the outer-row reference when open is openCorrelated
+}
+
+// reason renders why the subquery is open ("" when closed).
+func (s *planSub) reason() string {
+	if s.open == openCorrelated {
+		return openCorrelated + ": " + sqlast.PrintExpr(s.ref)
+	}
+	return s.open
+}
+
+// SubqueryInfo describes how one subquery of a planned statement executes.
+type SubqueryInfo struct {
+	// SQL is the subquery's printed text.
+	SQL string
+	// Closed reports that the subquery is statement-invariant: Run executes
+	// it at most once and answers every later evaluation from its memo.
+	Closed bool
+	// Reason says why an open subquery runs once per evaluation:
+	// "correlated: <ref>", "unresolved reference", "opaque source" or
+	// "compound ORDER BY". Empty when Closed.
+	Reason string
+}
+
+// Subqueries reports the plan-time classification of every scalar, EXISTS
+// and IN subquery (and every derived table nested beneath one) in
+// source-walk order, outer before inner.
+func (p *Plan) Subqueries() []SubqueryInfo {
+	out := make([]SubqueryInfo, len(p.subs))
+	for i := range p.subs {
+		s := &p.subs[i]
+		out[i] = SubqueryInfo{SQL: sqlast.Print(s.sel), Closed: s.open == "", Reason: s.reason()}
+	}
 	return out
 }
 
@@ -83,7 +134,7 @@ func Prepare(db *Database, sql string) (*Plan, error) {
 func PlanSelect(db *Database, sel *sqlast.SelectStmt) *Plan {
 	pl := &planner{db: db, cols: make(map[*sqlast.ColumnRef]colSlot)}
 	pl.selectStmt(sel, nil)
-	return &Plan{Stmt: sel, db: db, cols: pl.cols, diags: pl.diags}
+	return &Plan{Stmt: sel, db: db, cols: pl.cols, diags: pl.diags, subs: pl.subs, subIdx: pl.subIdx}
 }
 
 // ----------------------------------------------------------------------------
@@ -98,19 +149,77 @@ type planBinding struct {
 	opaque bool
 }
 
-// planScope mirrors the binding structure of a rowEnv at plan time.
+// planScope mirrors the binding structure of a rowEnv at plan time. level
+// is the scope's distance from the end of its outer chain (0 = no outer).
 type planScope struct {
 	bindings []planBinding
 	outer    *planScope
+	level    int
 }
+
+func newScope(outer *planScope) *planScope {
+	return &planScope{outer: outer, level: levelUnder(outer)}
+}
+
+// levelUnder is the level of a scope whose outer chain is outer.
+func levelUnder(outer *planScope) int {
+	if outer == nil {
+		return 0
+	}
+	return outer.level + 1
+}
+
+// subFrame is a subquery whose body the planner is currently walking: its
+// entry in planner.subs and the level of its outermost scope. A reference
+// resolving to a scope below that level leaves the subquery.
+type subFrame struct {
+	idx   int
+	level int
+}
+
+// Reasons a subquery stays open.
+const (
+	openCorrelated = "correlated"
+	openUnresolved = "unresolved reference"
+	openOpaque     = "opaque source"
+	openCompound   = "compound ORDER BY"
+)
 
 type planner struct {
 	db    *Database
 	cols  map[*sqlast.ColumnRef]colSlot
 	diags []string
+
+	subs   []planSub
+	subIdx map[*sqlast.SelectStmt]int
+	frames []subFrame // enclosing subqueries, outermost first
 }
 
 func (p *planner) diag(msg string) { p.diags = append(p.diags, msg) }
+
+// subquery plans sub as a classified subquery whose outer chain is outer.
+func (p *planner) subquery(sub *sqlast.SelectStmt, outer *planScope) {
+	if p.subIdx == nil {
+		p.subIdx = make(map[*sqlast.SelectStmt]int)
+	}
+	idx := len(p.subs)
+	p.subs = append(p.subs, planSub{sel: sub})
+	p.subIdx[sub] = idx
+	p.frames = append(p.frames, subFrame{idx: idx, level: levelUnder(outer)})
+	p.selectStmt(sub, outer)
+	p.frames = p.frames[:len(p.frames)-1]
+}
+
+// escape records that something beneath every enclosing subquery whose
+// outermost scope lies above level keeps it open. The first reason found in
+// walk order is the one reported.
+func (p *planner) escape(level int, reason string, ref *sqlast.ColumnRef) {
+	for i := len(p.frames) - 1; i >= 0 && p.frames[i].level > level; i-- {
+		if s := &p.subs[p.frames[i].idx]; s.open == "" {
+			s.open, s.ref = reason, ref
+		}
+	}
+}
 
 // selectStmt plans a full SELECT including compound arms, ORDER BY and
 // LIMIT/OFFSET. outer is the enclosing query's scope (nil at top level).
@@ -129,10 +238,18 @@ func (p *planner) selectStmt(sel *sqlast.SelectStmt, outer *planScope) {
 		for _, ob := range sel.OrderBy {
 			p.expr(ob.Expr, scope, false)
 		}
+	} else {
+		for _, ob := range sel.OrderBy {
+			// An unplanned key resolves by name at run time, possibly in an
+			// outer row. Ordinals never evaluate.
+			if _, lit := ob.Expr.(*sqlast.Literal); !lit {
+				p.escape(-1, openCompound, nil)
+			}
+		}
 	}
 	// LIMIT/OFFSET evaluate in an empty scope chained to outer
 	// (execSelect uses &rowEnv{outer: outer}).
-	limitScope := &planScope{outer: outer}
+	limitScope := newScope(outer)
 	p.expr(sel.Limit, limitScope, false)
 	p.expr(sel.Offset, limitScope, false)
 }
@@ -140,7 +257,7 @@ func (p *planner) selectStmt(sel *sqlast.SelectStmt, outer *planScope) {
 // selectCore plans one SELECT arm (FROM/WHERE/GROUP BY/HAVING/items) and
 // returns its row scope.
 func (p *planner) selectCore(sel *sqlast.SelectStmt, outer *planScope) *planScope {
-	scope := &planScope{outer: outer}
+	scope := newScope(outer)
 	if sel.From != nil {
 		scope.bindings = append(scope.bindings, p.sourceBinding(sel.From.First, outer))
 		for i := range sel.From.Joins {
@@ -166,7 +283,11 @@ func (p *planner) selectCore(sel *sqlast.SelectStmt, outer *planScope) *planScop
 // sourceBinding plans one table source and returns its binding.
 func (p *planner) sourceBinding(ts sqlast.TableSource, outer *planScope) planBinding {
 	if ts.Sub != nil {
-		p.selectStmt(ts.Sub, outer)
+		if len(p.frames) > 0 {
+			p.subquery(ts.Sub, outer)
+		} else {
+			p.selectStmt(ts.Sub, outer)
+		}
 		alias := strings.ToLower(ts.Alias)
 		if alias == "" {
 			alias = "subquery"
@@ -298,7 +419,7 @@ func (p *planner) expr(e sqlast.Expr, scope *planScope, strict bool) {
 			p.expr(v, scope, strict)
 		}
 		if x.Sub != nil {
-			p.selectStmt(x.Sub, scope)
+			p.subquery(x.Sub, scope)
 		}
 	case *sqlast.BetweenExpr:
 		p.expr(x.X, scope, strict)
@@ -310,9 +431,9 @@ func (p *planner) expr(e sqlast.Expr, scope *planScope, strict bool) {
 	case *sqlast.IsNullExpr:
 		p.expr(x.X, scope, strict)
 	case *sqlast.ExistsExpr:
-		p.selectStmt(x.Sub, scope)
+		p.subquery(x.Sub, scope)
 	case *sqlast.SubqueryExpr:
-		p.selectStmt(x.Sub, scope)
+		p.subquery(x.Sub, scope)
 	case *sqlast.CaseExpr:
 		for _, w := range x.Whens {
 			p.expr(w.When, scope, strict)
@@ -326,35 +447,42 @@ func (p *planner) expr(e sqlast.Expr, scope *planScope, strict bool) {
 // first-alias-match rule for qualified references, same cross-binding
 // ambiguity rule for bare ones. Anything it cannot decide statically (an
 // opaque binding in the way) is left to the dynamic path with no diagnostic.
+// Either way the enclosing subqueries learn what the reference means for
+// them: the scope it resolved to, or that run time may look anywhere.
 func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
+	if s, open := p.resolveIn(x, scope, strict); s == nil {
+		p.escape(-1, open, nil)
+	} else {
+		p.escape(s.level, openCorrelated, x)
+	}
+}
+
+// resolveIn returns the scope x resolved to after recording its slot, or
+// nil and why a subquery containing x cannot be closed.
+func (p *planner) resolveIn(x *sqlast.ColumnRef, scope *planScope, strict bool) (*planScope, string) {
 	depth := 0
 	for s := scope; s != nil; s, depth = s.outer, depth+1 {
 		if x.Table != "" {
 			want := strings.ToLower(x.Table)
-			aliasFound := false
 			for bi := range s.bindings {
 				b := &s.bindings[bi]
 				if b.alias != want {
 					continue
 				}
 				// lookup stops at the first binding answering to the alias.
-				aliasFound = true
 				if b.opaque {
-					return
+					return nil, openOpaque
 				}
 				for ci, c := range b.cols {
 					if strings.EqualFold(c, x.Column) {
 						p.cols[x] = colSlot{depth: depth, binding: bi, col: ci}
-						return
+						return s, ""
 					}
 				}
 				if strict {
 					p.diag(fmt.Sprintf("column %s.%s not found", x.Table, x.Column))
 				}
-				return
-			}
-			if aliasFound {
-				return
+				return nil, openUnresolved
 			}
 			continue // alias might belong to an outer scope
 		}
@@ -380,16 +508,16 @@ func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
 			if strict {
 				p.diag(fmt.Sprintf("ambiguous column %q", x.Column))
 			}
-			return
+			return nil, openUnresolved
 		}
 		if hasOpaque {
 			// The opaque binding may hold the column too (ambiguity) or hold
 			// it when nothing else does; either way only runtime can tell.
-			return
+			return nil, openOpaque
 		}
 		if count == 1 {
 			p.cols[x] = slot
-			return
+			return s, ""
 		}
 		// Not present in this scope; fall through to the outer one.
 	}
@@ -400,4 +528,5 @@ func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
 			p.diag(fmt.Sprintf("unknown column %q", x.Column))
 		}
 	}
+	return nil, openUnresolved
 }

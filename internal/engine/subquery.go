@@ -1,0 +1,193 @@
+package engine
+
+import (
+	"math"
+
+	"fisql/internal/sqlast"
+)
+
+// This file is the run-time half of statement-invariant subquery execution.
+// The planner (plan.go) classifies every scalar, EXISTS and IN subquery — and
+// every derived table beneath one — as closed when no reference under it
+// resolves outside it. A closed subquery's result cannot depend on the row
+// being evaluated, so Run executes it on first evaluation and answers every
+// later evaluation in the same Run from a memo. Execution stays lazy: a
+// subquery no row reaches never runs, so it can never raise an error the
+// interpreter would not. An error is memoized like a result, because the
+// columnar attempt may hit it, bail, and have the row executor reach the
+// same subquery again.
+//
+// The memo lives for one top-level Run and is keyed by plan entry, so it
+// exists only under a plan: Executor.Select never memoizes and remains the
+// oracle the differential suites compare Run against.
+
+// subMemo is one closed subquery's state within a Run.
+type subMemo struct {
+	done bool
+	res  *Result
+	err  error
+	in   *inSet // IN candidates, built on the first IN evaluation
+}
+
+// memoFor returns sub's memo slot in the current Run, or nil when sub must
+// execute on every evaluation (no plan, unclassified, or open — counting the
+// execution that then follows).
+func (ex *Executor) memoFor(sub *sqlast.SelectStmt) *subMemo {
+	if ex.plan == nil {
+		return nil
+	}
+	i, ok := ex.plan.subIdx[sub]
+	if !ok {
+		return nil
+	}
+	if ex.plan.subs[i].open != "" {
+		ex.subStats.OpenExecs++
+		return nil
+	}
+	if ex.memo == nil {
+		ex.memo = make([]subMemo, len(ex.plan.subs))
+	}
+	return &ex.memo[i]
+}
+
+// subResult evaluates subquery sub for the row env. m is memoFor(sub). The
+// returned Result may be shared with earlier and later evaluations: callers
+// only read it (ORDER BY and LIMIT are applied inside execSelect).
+func (ex *Executor) subResult(sub *sqlast.SelectStmt, env *rowEnv, m *subMemo) (*Result, error) {
+	if m == nil {
+		return ex.execSelect(sub, env)
+	}
+	if m.done {
+		ex.subStats.MemoHits++
+		return m.res, m.err
+	}
+	ex.subStats.ClosedExecs++
+	// A closed subquery never reads env, so it runs without an outer scope:
+	// that lets its base-table scans share the database's scan environments
+	// instead of materializing a chained copy.
+	m.res, m.err = ex.execSelect(sub, nil)
+	m.done = true
+	return m.res, m.err
+}
+
+// SubqueryStats counts subquery executions under Executor.Run.
+type SubqueryStats struct {
+	// ClosedExecs is how many times a closed subquery actually executed: at
+	// most once per closed subquery per Run.
+	ClosedExecs int64
+	// MemoHits is how many evaluations of a closed subquery were answered
+	// from its memo.
+	MemoHits int64
+	// OpenExecs is how many times an open (correlated or undecidable)
+	// subquery executed: once per evaluation.
+	OpenExecs int64
+}
+
+// SubqueryStats reports the database's cumulative subquery execution
+// counts. Counting happens in Executor.Run; the plan-less Select path
+// classifies nothing and is not counted.
+func (db *Database) SubqueryStats() SubqueryStats {
+	return SubqueryStats{
+		ClosedExecs: db.subClosedExecs.Load(),
+		MemoHits:    db.subMemoHits.Load(),
+		OpenExecs:   db.subOpenExecs.Load(),
+	}
+}
+
+// endRun drops the memo and publishes the Run's subquery counts.
+func (ex *Executor) endRun() {
+	ex.memo = nil
+	if s := ex.subStats; s != (SubqueryStats{}) {
+		ex.db.subClosedExecs.Add(s.ClosedExecs)
+		ex.db.subMemoHits.Add(s.MemoHits)
+		ex.db.subOpenExecs.Add(s.OpenExecs)
+		ex.subStats = SubqueryStats{}
+	}
+}
+
+// ----------------------------------------------------------------------------
+// IN candidate sets
+
+// keyDomain is the type domain of a set of values that are to be matched
+// through joinKey. A hash key is only faithful to Compare-equality on a
+// homogeneous domain (see the hash equi-join commentary in exec.go).
+type keyDomain uint8
+
+const (
+	domNone  keyDomain = iota // no non-NULL value seen
+	domNum                    // int and float
+	domText                   // text
+	domMixed                  // anything else: not hashable
+)
+
+// with widens d to cover v. NULLs never match and leave d alone. Bool
+// equates with both numbers and text, and NaN compares equal to every
+// number, so either makes the domain mixed.
+func (d keyDomain) with(v Value) keyDomain {
+	var dv keyDomain
+	switch v.T {
+	case TypeNull:
+		return d
+	case TypeInt:
+		dv = domNum
+	case TypeFloat:
+		if math.IsNaN(v.F) {
+			return domMixed
+		}
+		dv = domNum
+	case TypeText:
+		dv = domText
+	default:
+		return domMixed
+	}
+	if d == domNone || d == dv {
+		return dv
+	}
+	return domMixed
+}
+
+// inSet is the candidate column of a closed IN subquery, kept for the Run.
+type inSet struct {
+	rows    [][]Value // the subquery's one-column result rows
+	sawNull bool
+	dom     keyDomain
+	keys    map[joinKey]struct{} // non-NULL candidates; nil when dom is mixed
+}
+
+func newInSet(rows [][]Value) *inSet {
+	s := &inSet{rows: rows}
+	for _, r := range rows {
+		s.dom = s.dom.with(r[0])
+		if r[0].IsNull() {
+			s.sawNull = true
+		}
+	}
+	if s.dom == domNum || s.dom == domText {
+		s.keys = make(map[joinKey]struct{}, len(rows))
+		for _, r := range rows {
+			if !r[0].IsNull() {
+				s.keys[makeJoinKey(r[0], s.dom == domNum)] = struct{}{}
+			}
+		}
+	}
+	return s
+}
+
+// contains reports whether non-NULL v Equal-matches a candidate, by hash
+// probe when v lies in the candidates' homogeneous domain and by the linear
+// Equal scan otherwise.
+func (s *inSet) contains(v Value) bool {
+	if s.dom == domNone {
+		return false
+	}
+	if s.keys != nil && s.dom.with(v) == s.dom {
+		_, ok := s.keys[makeJoinKey(v, s.dom == domNum)]
+		return ok
+	}
+	for _, r := range s.rows {
+		if eq, known := Equal(v, r[0]); known && eq {
+			return true
+		}
+	}
+	return false
+}
