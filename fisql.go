@@ -164,8 +164,9 @@ func (s *System) Observe(r *obs.Registry) {
 	if s.DS != nil && len(s.DS.DBs) > 0 {
 		// Engine execution counters, summed across the corpus's databases
 		// (each Database keeps its own atomic tallies): which path ran a
-		// statement, and whether a subquery evaluation was answered by the
-		// per-statement memo or had to execute.
+		// statement, whether a subquery evaluation was answered by the
+		// per-statement memo or had to execute, and which sort ordered its
+		// rows.
 		dbs := make([]*engine.Database, 0, len(s.DS.DBs))
 		for _, db := range s.DS.DBs {
 			dbs = append(dbs, db)
@@ -184,6 +185,9 @@ func (s *System) Observe(r *obs.Registry) {
 		sum("fisql_engine_subquery_closed_execs_total", func(db *engine.Database) int64 { return db.SubqueryStats().ClosedExecs })
 		sum("fisql_engine_subquery_memo_hits_total", func(db *engine.Database) int64 { return db.SubqueryStats().MemoHits })
 		sum("fisql_engine_subquery_open_execs_total", func(db *engine.Database) int64 { return db.SubqueryStats().OpenExecs })
+		sum("fisql_engine_order_typed_sorts_total", func(db *engine.Database) int64 { return db.OrderStats().TypedSorts })
+		sum("fisql_engine_order_generic_sorts_total", func(db *engine.Database) int64 { return db.OrderStats().GenericSorts })
+		sum("fisql_engine_order_rows_total", func(db *engine.Database) int64 { return db.OrderStats().Rows })
 	}
 }
 

@@ -117,3 +117,23 @@ func TestObserveEngineSubqueryCounters(t *testing.T) {
 		t.Errorf("closed execs %d, memo hits %d, open execs %d over %d rows", e, h, o, len(seg.Rows))
 	}
 }
+
+// TestObserveEngineOrderCounters checks that Observe surfaces which sort
+// ordered a statement's rows: one typed sort over the table's rows.
+func TestObserveEngineOrderCounters(t *testing.T) {
+	sys := aepSystem(t)
+	r := obs.NewRegistry()
+	sys.Observe(r)
+	before := r.Snapshot().Counters
+	db := sys.DS.DBs["experience_platform"]
+	seg, _ := db.Table("hkg_dim_segment")
+	if _, err := engine.NewExecutor(db).Query("SELECT segment_id FROM hkg_dim_segment ORDER BY segment_id DESC"); err != nil {
+		t.Fatal(err)
+	}
+	after := r.Snapshot().Counters
+	moved := func(name string) int64 { return after[name] - before[name] }
+	if ty, g, n := moved("fisql_engine_order_typed_sorts_total"), moved("fisql_engine_order_generic_sorts_total"),
+		moved("fisql_engine_order_rows_total"); ty != 1 || g != 0 || n != int64(len(seg.Rows)) {
+		t.Errorf("typed sorts %d, generic sorts %d, rows %d over %d rows", ty, g, n, len(seg.Rows))
+	}
+}

@@ -65,6 +65,12 @@ type Database struct {
 	subClosedExecs atomic.Int64
 	subMemoHits    atomic.Int64
 	subOpenExecs   atomic.Int64
+
+	// ORDER BY sort tallies, published the same way (see OrderStats in
+	// order.go).
+	orderTyped   atomic.Int64
+	orderGeneric atomic.Int64
+	orderRows    atomic.Int64
 }
 
 // ColumnarStats reports how many planned executions the vectorized columnar

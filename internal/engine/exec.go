@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -40,6 +39,8 @@ type Executor struct {
 	// subquery executions. See subquery.go.
 	memo     []subMemo
 	subStats SubqueryStats
+	// orderStats tallies the Run's ORDER BY sorts. See order.go.
+	orderStats OrderStats
 }
 
 // DefaultColumnarMinRows is the table size below which aggregated
@@ -1369,33 +1370,40 @@ func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, 
 		}
 		res.Ordered = true
 	}
-	// LIMIT / OFFSET.
-	if sel.Limit != nil {
-		lim, err := ex.eval(sel.Limit, &rowEnv{outer: outer}, nil)
-		if err != nil {
-			return nil, err
-		}
-		off := int64(0)
-		if sel.Offset != nil {
-			ov, err := ex.eval(sel.Offset, &rowEnv{outer: outer}, nil)
-			if err != nil {
-				return nil, err
-			}
-			off = ov.I
-		}
-		n, _ := lim.AsFloat()
-		limit := int(n)
-		start := int(off)
-		if start > len(res.Rows) {
-			start = len(res.Rows)
-		}
-		end := start + limit
-		if limit < 0 || end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		res.Rows = res.Rows[start:end]
+	if err := ex.limitRows(sel, res, outer); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// limitRows applies sel's LIMIT / OFFSET to res. A negative LIMIT means no
+// limit, a negative OFFSET reads as 0 (SQLite's reading of both), and
+// either may exceed the row count.
+func (ex *Executor) limitRows(sel *sqlast.SelectStmt, res *Result, outer *rowEnv) error {
+	if sel.Limit == nil {
+		return nil
+	}
+	lim, err := ex.eval(sel.Limit, &rowEnv{outer: outer}, nil)
+	if err != nil {
+		return err
+	}
+	off := int64(0)
+	if sel.Offset != nil {
+		ov, err := ex.eval(sel.Offset, &rowEnv{outer: outer}, nil)
+		if err != nil {
+			return err
+		}
+		off = ov.I
+	}
+	n, _ := lim.AsFloat()
+	limit := int(n)
+	start := int(min(max(off, 0), int64(len(res.Rows))))
+	end := len(res.Rows)
+	if limit >= 0 && limit < end-start {
+		end = start + limit
+	}
+	res.Rows = res.Rows[start:end]
+	return nil
 }
 
 func combineSetOp(op sqlast.SetOp, a, b [][]Value) [][]Value {
@@ -1470,105 +1478,6 @@ func (ex *Executor) execCore(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, er
 	}
 	ex.lastProjected = projRows
 	return res, nil
-}
-
-func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result) error {
-	projRows := ex.lastProjected
-	if len(projRows) != len(res.Rows) {
-		// Set operations changed the row set; order on output columns only.
-		projRows = nil
-	}
-	// Hoist the row-independent work out of the per-row loop: the parsed
-	// ordinal, the bare-column form, and the printed expressions compared
-	// against printed select items are the same for every row.
-	specs := make([]orderSpec, len(sel.OrderBy))
-	for k, ob := range sel.OrderBy {
-		specs[k] = orderSpec{expr: ob.Expr, want: sqlast.PrintExpr(ob.Expr)}
-		if lit, ok := ob.Expr.(*sqlast.Literal); ok && lit.Kind == sqlast.LitNumber {
-			if n, err := strconv.Atoi(lit.Text); err == nil {
-				specs[k].ord, specs[k].hasOrd = n, true
-			}
-		}
-		if cr, ok := ob.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
-			specs[k].cr = cr
-		}
-	}
-	itemPrints := make([]string, len(sel.Items))
-	for j, it := range sel.Items {
-		if it.Expr != nil {
-			itemPrints[j] = sqlast.PrintExpr(it.Expr)
-		}
-	}
-	type sortRow struct {
-		row  []Value
-		keys []Value
-	}
-	rows := make([]sortRow, len(res.Rows))
-	keyStore := make([]Value, len(res.Rows)*len(sel.OrderBy))
-	for i, r := range res.Rows {
-		rows[i].row = r
-		rows[i].keys = keyStore[i*len(sel.OrderBy) : (i+1)*len(sel.OrderBy)]
-		for k := range sel.OrderBy {
-			v, err := ex.orderKey(&specs[k], sel, res, itemPrints, r, projRows, i)
-			if err != nil {
-				return err
-			}
-			rows[i].keys[k] = v
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, ob := range sel.OrderBy {
-			c := Compare(rows[i].keys[k], rows[j].keys[k])
-			if c != 0 {
-				if ob.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	for i := range rows {
-		res.Rows[i] = rows[i].row
-	}
-	return nil
-}
-
-// orderSpec carries the row-independent pieces of one ORDER BY key.
-type orderSpec struct {
-	expr   sqlast.Expr
-	ord    int // parsed ordinal literal (ORDER BY 2), valid when hasOrd
-	hasOrd bool
-	cr     *sqlast.ColumnRef // unqualified column/alias reference, if any
-	want   string            // printed expression for select-item matching
-}
-
-// orderKey evaluates one ORDER BY key for row i.
-func (ex *Executor) orderKey(sp *orderSpec, sel *sqlast.SelectStmt, res *Result, itemPrints []string, row []Value, projRows []projected, i int) (Value, error) {
-	// Ordinal: ORDER BY 2.
-	if sp.hasOrd && sp.ord >= 1 && sp.ord <= len(row) {
-		return row[sp.ord-1], nil
-	}
-	// Output column / alias match.
-	if sp.cr != nil {
-		for j, c := range res.Columns {
-			if strings.EqualFold(c, sp.cr.Column) {
-				return row[j], nil
-			}
-		}
-	}
-	// Expression match against a select item (e.g. ORDER BY COUNT(*)).
-	for j, it := range sel.Items {
-		if it.Expr != nil && itemPrints[j] == sp.want && j < len(row) {
-			return row[j], nil
-		}
-	}
-	// General expression over the source row/group.
-	if projRows != nil && i < len(projRows) {
-		p := projRows[i]
-		return ex.eval(sp.expr, p.env, p.ctx)
-	}
-	return Value{}, fmt.Errorf("cannot resolve ORDER BY expression %s", sp.want)
 }
 
 // project evaluates FROM/WHERE/GROUP BY/HAVING and the select list.

@@ -76,6 +76,20 @@ func fuzzSetup() error {
 			"SELECT country, COUNT(*) FROM singer GROUP BY country HAVING COUNT(*) >= (SELECT MIN(age) FROM singer) - 30",
 			"SELECT name FROM singer WHERE age = (SELECT singer_id, age FROM singer)",
 			"SELECT name FROM singer WHERE singer_id IN (SELECT stadium_id FROM concert UNION SELECT singer_id FROM singer ORDER BY stadium_id)",
+			// ORDER BY shapes: a mixed-type key (generic sort), NULLs under
+			// DESC, opposite directions, ordinal, alias shadowing a column,
+			// per-row expressions over a join, an aggregate key, a compound
+			// (output columns only), and LIMIT / OFFSET edges after a sort.
+			"SELECT name, CASE WHEN age > 30 THEN name ELSE age END AS k FROM singer ORDER BY k",
+			"SELECT name, CASE WHEN age > 30 THEN age END AS a FROM singer ORDER BY a DESC",
+			"SELECT name, country, age FROM singer ORDER BY country DESC, age ASC",
+			"SELECT name, age FROM singer ORDER BY 2 DESC, 1",
+			"SELECT name, 0 - age AS age FROM singer ORDER BY age",
+			"SELECT s.name FROM stadium AS s JOIN concert AS c ON c.stadium_id = s.stadium_id ORDER BY c.year * -1, s.capacity + 1",
+			"SELECT country FROM singer GROUP BY country ORDER BY COUNT(*) DESC",
+			"SELECT name FROM singer UNION SELECT name FROM stadium ORDER BY name DESC",
+			"SELECT name FROM singer ORDER BY age DESC LIMIT 2 OFFSET 1",
+			"SELECT name FROM singer ORDER BY age LIMIT 2 OFFSET -1",
 		} {
 			fuzzWorld.seeds = append(fuzzWorld.seeds, [2]string{"concert_singer", q})
 		}

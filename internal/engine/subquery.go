@@ -94,7 +94,7 @@ func (db *Database) SubqueryStats() SubqueryStats {
 	}
 }
 
-// endRun drops the memo and publishes the Run's subquery counts.
+// endRun drops the memo and publishes the Run's subquery and sort counts.
 func (ex *Executor) endRun() {
 	ex.memo = nil
 	if s := ex.subStats; s != (SubqueryStats{}) {
@@ -102,6 +102,12 @@ func (ex *Executor) endRun() {
 		ex.db.subMemoHits.Add(s.MemoHits)
 		ex.db.subOpenExecs.Add(s.OpenExecs)
 		ex.subStats = SubqueryStats{}
+	}
+	if s := ex.orderStats; s != (OrderStats{}) {
+		ex.db.orderTyped.Add(s.TypedSorts)
+		ex.db.orderGeneric.Add(s.GenericSorts)
+		ex.db.orderRows.Add(s.Rows)
+		ex.orderStats = OrderStats{}
 	}
 }
 
