@@ -76,7 +76,9 @@ type Database struct {
 // ColumnarStats reports how many planned executions the vectorized columnar
 // path served (hits) versus handed to the row-at-a-time executor
 // (fallbacks). Counting happens in Executor.Run; the dynamic Select path and
-// executors with SetColumnar(false) are not counted.
+// executors with SetColumnar(false) are not counted. A statement whose
+// vectorized stages succeed is a hit even when the shared tail then returns
+// an error: that error is the row executor's own.
 func (db *Database) ColumnarStats() (hits, fallbacks int64) {
 	return db.colHits.Load(), db.colFallbacks.Load()
 }

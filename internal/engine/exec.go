@@ -18,9 +18,6 @@ type Executor struct {
 	// intermediate join sizes to guard against accidental cartesian blowups
 	// from generated queries.
 	maxRows int
-	// lastProjected holds the projection context of the most recent
-	// execCore call, consumed immediately by orderRows.
-	lastProjected []projected
 	// plan, when set, supplies resolved column slots so eval can index
 	// binding values directly instead of scanning names per row.
 	plan *Plan
@@ -101,9 +98,10 @@ func (ex *Executor) Run(p *Plan) (*Result, error) {
 		ex.endRun()
 	}()
 	if !ex.noColumnar {
-		if res, ok := ex.runVec(p); ok {
+		if c, cols, ok := ex.runVec(p); ok {
+			// A hit even if the tail errors: that error is the row path's.
 			ex.db.colHits.Add(1)
-			return res, nil
+			return ex.finish(p.Stmt, cols, &c, nil)
 		}
 		ex.db.colFallbacks.Add(1)
 	}
@@ -702,8 +700,8 @@ type evalCtx struct {
 	// aggVals, when non-nil, supplies precomputed per-group aggregate values
 	// keyed by call node. The vectorized path folds aggregates over column
 	// arrays instead of row environments and injects the results here, so
-	// scalar evaluation of HAVING/items/ORDER BY stays the row path's own
-	// code. Nodes absent from the map fall through to the group fold.
+	// HAVING/items/ORDER BY evaluate in the shared tail. Nodes absent from
+	// the map fall through to the group fold.
 	aggVals map[*sqlast.FuncCall]Value
 }
 
@@ -1147,6 +1145,21 @@ func isAggregateName(name string) bool {
 	return false
 }
 
+// aggregated reports whether sel runs as an aggregate query: it has a GROUP
+// BY or a HAVING, or a select item aggregates. An aggregate in ORDER BY
+// alone does not make one.
+func aggregated(sel *sqlast.SelectStmt) bool {
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
+		return true
+	}
+	for _, it := range sel.Items {
+		if it.Expr != nil && hasAggregate(it.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
 // hasAggregate reports whether e contains an aggregate call outside
 // subqueries.
 func hasAggregate(e sqlast.Expr) bool {
@@ -1187,7 +1200,9 @@ func (ex *Executor) evalFunc(x *sqlast.FuncCall, env *rowEnv, ctx *evalCtx) (Val
 		if ctx == nil || ctx.group == nil {
 			return Value{}, fmt.Errorf("aggregate %s used outside aggregation context", x.Name)
 		}
-		return ex.evalAggregate(x, ctx.group)
+		return foldAggregate(x, len(ctx.group), func(i int) (Value, error) {
+			return ex.eval(x.Args[0], ctx.group[i], nil)
+		})
 	}
 	// Scalar functions.
 	args := make([]Value, len(x.Args))
@@ -1246,14 +1261,18 @@ func (ex *Executor) evalFunc(x *sqlast.FuncCall, env *rowEnv, ctx *evalCtx) (Val
 	return Value{}, fmt.Errorf("unknown function %q", x.Name)
 }
 
-func (ex *Executor) evalAggregate(x *sqlast.FuncCall, group []*rowEnv) (Value, error) {
+// foldAggregate folds aggregate call x over a group of rows rows; arg(i) is
+// the call's argument in row i. It is the one fold both executors use: the row
+// executor evaluates the argument per environment, the vectorized path
+// gathers it from a column slot where it can.
+func foldAggregate(x *sqlast.FuncCall, rows int, arg func(i int) (Value, error)) (Value, error) {
 	// COUNT(*) counts rows; everything else evaluates the argument per row
 	// and skips NULLs.
 	if x.Star {
 		if x.Name != "COUNT" {
 			return Value{}, fmt.Errorf("%s(*) is not valid", x.Name)
 		}
-		return Int(int64(len(group))), nil
+		return Int(int64(rows)), nil
 	}
 	if len(x.Args) != 1 {
 		return Value{}, fmt.Errorf("%s takes 1 argument", x.Name)
@@ -1271,8 +1290,8 @@ func (ex *Executor) evalAggregate(x *sqlast.FuncCall, group []*rowEnv) (Value, e
 	allInt := true
 	badNumeric := false
 	var best Value
-	for _, env := range group {
-		v, err := ex.eval(x.Args[0], env, nil)
+	for i := 0; i < rows; i++ {
+		v, err := arg(i)
 		if err != nil {
 			return Value{}, err
 		}
@@ -1339,33 +1358,91 @@ func (ex *Executor) evalAggregate(x *sqlast.FuncCall, group []*rowEnv) (Value, e
 
 // ----------------------------------------------------------------------------
 // SELECT execution
+//
+// A SELECT arm runs in two halves. The first — FROM, WHERE, GROUP BY — ends
+// at the arm's candidates: its selected rows, or its groups. The row
+// executor produces them in gather, the vectorized path (vec.go) from column
+// arrays. The second half, finish, is the one tail both share: HAVING, the
+// select list, DISTINCT, set operations, ORDER BY and LIMIT.
+
+// candidates are what a SELECT arm's first half hands to the tail.
+// Candidate i evaluates in env(i) and, when the arm aggregates, in the group
+// context ctx(i).
+type candidates struct {
+	// envs holds one environment per candidate: a selected row, or a
+	// group's representative row.
+	envs []*rowEnv
+	// vec, when set, replaces envs: candidate i is the vectorized attempt's
+	// context row idx[i]. A join row's environment is a scratch, valid until
+	// the next env call.
+	vec *vecExec
+	idx []int32
+	// ctxs holds one group context per candidate of an aggregated arm.
+	ctxs []evalCtx
+}
+
+func (c *candidates) len() int {
+	if c.vec != nil {
+		return len(c.idx)
+	}
+	return len(c.envs)
+}
+
+func (c *candidates) env(i int) *rowEnv {
+	if c.vec != nil {
+		return c.vec.env(int(c.idx[i]))
+	}
+	return c.envs[i]
+}
+
+func (c *candidates) ctx(i int) *evalCtx {
+	if c.ctxs == nil {
+		return nil
+	}
+	return &c.ctxs[i]
+}
 
 func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, error) {
-	res, err := ex.execCore(sel, outer)
+	c, cols, err := ex.gather(sel, outer)
 	if err != nil {
 		return nil, err
 	}
-	// Set operations combine projected row sets.
-	for c := sel.Compound; c != nil; {
-		right, err := ex.execCore(c.Right, outer)
-		if err != nil {
-			return nil, err
-		}
-		if len(right.Columns) != len(res.Columns) {
-			return nil, fmt.Errorf("%s arms have %d vs %d columns", c.Op, len(res.Columns), len(right.Columns))
-		}
-		res.Rows = combineSetOp(c.Op, res.Rows, right.Rows)
-		c = c.Right.Compound
+	return ex.finish(sel, cols, &c, outer)
+}
+
+// finish is the SELECT tail, run over the first arm's candidates c and
+// header cols.
+func (ex *Executor) finish(sel *sqlast.SelectStmt, cols []string, c *candidates, outer *rowEnv) (*Result, error) {
+	rows, src, err := ex.project(sel, c, sel.Compound == nil && len(sel.OrderBy) > 0)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Columns: cols, Rows: rows}
 	if sel.Compound != nil {
+		// Set operations combine projected row sets, which leaves ORDER BY
+		// only the output columns to sort on.
+		c = nil
+		for arm := sel.Compound; arm != nil; arm = arm.Right.Compound {
+			rc, rcols, err := ex.gather(arm.Right, outer)
+			if err != nil {
+				return nil, err
+			}
+			right, _, err := ex.project(arm.Right, &rc, false)
+			if err != nil {
+				return nil, err
+			}
+			if len(rcols) != len(cols) {
+				return nil, fmt.Errorf("%s arms have %d vs %d columns", arm.Op, len(cols), len(rcols))
+			}
+			res.Rows = combineSetOp(arm.Op, res.Rows, right)
+		}
 		switch sel.Compound.Op {
 		case sqlast.SetUnion, sqlast.SetIntersect, sqlast.SetExcept:
-			res.Rows = dedupeRows(res.Rows)
+			res.Rows, _ = dedupeRows(res.Rows, nil)
 		}
 	}
-	// ORDER BY over the final projected rows.
 	if len(sel.OrderBy) > 0 {
-		if err := ex.orderRows(sel, res); err != nil {
+		if err := ex.orderRows(sel, res, c, src); err != nil {
 			return nil, err
 		}
 		res.Ordered = true
@@ -1442,56 +1519,43 @@ func combineSetOp(op sqlast.SetOp, a, b [][]Value) [][]Value {
 	return a
 }
 
-func dedupeRows(rows [][]Value) [][]Value {
+// dedupeRows drops, in place, every row equal to an earlier one, keeping src
+// (when set) parallel to the rows.
+func dedupeRows(rows [][]Value, src []int32) ([][]Value, []int32) {
 	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
+	kept := 0
 	var kb []byte
-	for _, r := range rows {
+	for i, r := range rows {
 		kb = rowKeyAppend(kb[:0], r)
 		if seen[string(kb)] {
 			continue
 		}
 		seen[string(kb)] = true
-		out = append(out, r)
+		rows[kept] = r
+		if src != nil {
+			src[kept] = src[i]
+		}
+		kept++
 	}
-	return out
+	if src != nil {
+		src = src[:kept]
+	}
+	return rows[:kept], src
 }
 
-// projected carries an output row together with the environment/context it
-// was produced from, so ORDER BY can evaluate arbitrary expressions.
-type projected struct {
-	row []Value
-	env *rowEnv
-	ctx *evalCtx // aggregate context; nil for non-aggregated rows
-}
-
-// execCore runs one SELECT arm (no set ops, no order/limit) and stashes the
-// per-row evaluation context in the result for ORDER BY.
-func (ex *Executor) execCore(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, error) {
-	projRows, cols, err := ex.project(sel, outer)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: cols}
-	for _, p := range projRows {
-		res.Rows = append(res.Rows, p.row)
-	}
-	ex.lastProjected = projRows
-	return res, nil
-}
-
-// project evaluates FROM/WHERE/GROUP BY/HAVING and the select list.
-func (ex *Executor) project(sel *sqlast.SelectStmt, outer *rowEnv) ([]projected, []string, error) {
+// gather runs a SELECT arm's FROM, WHERE and GROUP BY stages and returns
+// its candidates and header.
+func (ex *Executor) gather(sel *sqlast.SelectStmt, outer *rowEnv) (candidates, []string, error) {
 	envs, err := ex.fromRows(sel.From, outer)
 	if err != nil {
-		return nil, nil, err
+		return candidates{}, nil, err
 	}
 	if sel.Where != nil {
 		kept := envs[:0]
 		for _, env := range envs {
 			ok, err := ex.evalBool(sel.Where, env, nil)
 			if err != nil {
-				return nil, nil, err
+				return candidates{}, nil, err
 			}
 			if ok {
 				kept = append(kept, env)
@@ -1499,114 +1563,90 @@ func (ex *Executor) project(sel *sqlast.SelectStmt, outer *rowEnv) ([]projected,
 		}
 		envs = kept
 	}
+	var sample *rowEnv
+	if len(envs) > 0 {
+		sample = envs[0]
+	}
+	cols := ex.outputColumns(sel, sample)
+	if !aggregated(sel) {
+		return candidates{envs: envs}, cols, nil
+	}
+	c, err := ex.groupRows(sel, envs)
+	return c, cols, err
+}
 
-	aggregated := len(sel.GroupBy) > 0 || sel.Having != nil
-	if !aggregated {
-		for _, it := range sel.Items {
-			if it.Expr != nil && hasAggregate(it.Expr) {
-				aggregated = true
-				break
+// project runs HAVING, the select list and DISTINCT over the candidates.
+// With wantSrc it also returns, for each output row, the candidate it was
+// projected from.
+func (ex *Executor) project(sel *sqlast.SelectStmt, c *candidates, wantSrc bool) (rows [][]Value, src []int32, err error) {
+	n := c.len()
+	for i := 0; i < n; i++ {
+		env, ctx := c.env(i), c.ctx(i)
+		if sel.Having != nil {
+			ok, err := ex.evalBool(sel.Having, env, ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				continue
 			}
 		}
-	}
-	if !aggregated {
-		for _, ob := range sel.OrderBy {
-			if hasAggregate(ob.Expr) && len(sel.GroupBy) > 0 {
-				aggregated = true
-				break
-			}
-		}
-	}
-
-	cols := ex.outputColumns(sel, envs)
-
-	var out []projected
-	if aggregated {
-		groups, reps, err := ex.groupRows(sel, envs)
+		row, err := ex.projectRow(sel, env, ctx)
 		if err != nil {
 			return nil, nil, err
 		}
-		for gi, group := range groups {
-			ctx := &evalCtx{group: group}
-			rep := reps[gi]
-			if sel.Having != nil {
-				ok, err := ex.evalBool(sel.Having, rep, ctx)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !ok {
-					continue
-				}
+		if rows == nil {
+			// Sized once, at the first row kept: no row, no slice.
+			rows = make([][]Value, 0, n-i)
+			if wantSrc {
+				src = make([]int32, 0, n-i)
 			}
-			row, err := ex.projectRow(sel, rep, ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			out = append(out, projected{row: row, env: rep, ctx: ctx})
 		}
-	} else {
-		out = make([]projected, 0, len(envs))
-		for _, env := range envs {
-			row, err := ex.projectRow(sel, env, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			out = append(out, projected{row: row, env: env})
+		rows = append(rows, row)
+		if wantSrc {
+			src = append(src, int32(i))
 		}
 	}
-
 	if sel.Distinct {
-		seen := make(map[string]bool, len(out))
-		kept := out[:0]
-		var kb []byte
-		for _, p := range out {
-			kb = rowKeyAppend(kb[:0], p.row)
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			kept = append(kept, p)
-		}
-		out = kept
+		rows, src = dedupeRows(rows, src)
 	}
-	return out, cols, nil
+	return rows, src, nil
 }
 
-// groupRows partitions envs by the GROUP BY key. With no GROUP BY the whole
-// input is a single group (global aggregation). Returns groups plus one
-// representative env per group.
-func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) ([][]*rowEnv, []*rowEnv, error) {
+// groupRows partitions envs by the GROUP BY key into groups in first-seen
+// order, each represented by its first row. With no GROUP BY the whole
+// input is a single group (global aggregation).
+func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) (candidates, error) {
 	if len(sel.GroupBy) == 0 {
 		rep := &rowEnv{}
 		if len(envs) > 0 {
 			rep = envs[0]
 		}
-		return [][]*rowEnv{envs}, []*rowEnv{rep}, nil
+		return candidates{envs: []*rowEnv{rep}, ctxs: []evalCtx{{group: envs}}}, nil
 	}
+	var c candidates
 	index := map[string]int{}
-	var groups [][]*rowEnv
-	var reps []*rowEnv
 	var kb []byte
 	for _, env := range envs {
 		kb = kb[:0]
 		for _, g := range sel.GroupBy {
 			v, err := ex.eval(g, env, nil)
 			if err != nil {
-				return nil, nil, err
+				return candidates{}, err
 			}
 			kb = v.appendKey(kb)
 			kb = append(kb, '\x1f')
 		}
 		gi, ok := index[string(kb)]
 		if !ok {
-			gi = len(groups)
+			gi = len(c.envs)
 			index[string(kb)] = gi
-			groups = append(groups, nil)
-			reps = append(reps, env)
+			c.envs = append(c.envs, env)
+			c.ctxs = append(c.ctxs, evalCtx{})
 		}
-		groups[gi] = append(groups[gi], env)
+		c.ctxs[gi].group = append(c.ctxs[gi].group, env)
 	}
-	return groups, reps, nil
+	return c, nil
 }
 
 // projectRow evaluates the select list for one row/group.
@@ -1640,13 +1680,10 @@ func (ex *Executor) projectRow(sel *sqlast.SelectStmt, env *rowEnv, ctx *evalCtx
 	return row, nil
 }
 
-// outputColumns derives the result header.
-func (ex *Executor) outputColumns(sel *sqlast.SelectStmt, envs []*rowEnv) []string {
+// outputColumns derives the result header from the first row that passed
+// WHERE, if any.
+func (ex *Executor) outputColumns(sel *sqlast.SelectStmt, sample *rowEnv) []string {
 	var cols []string
-	var sample *rowEnv
-	if len(envs) > 0 {
-		sample = envs[0]
-	}
 	for _, it := range sel.Items {
 		switch {
 		case it.Star:

@@ -120,6 +120,33 @@ func fuzzSetup() error {
 				}
 			}
 		}
+		// Errors the shared tail raises after the vectorized stages, which
+		// Run returns without rerunning the statement: in the select list,
+		// HAVING, an ORDER BY key and LIMIT, aggregated or not, on one table
+		// and on a join.
+		const (
+			seg   = " FROM hkg_dim_segment"
+			join  = " FROM hkg_fact_activation AS a JOIN hkg_dim_segment AS s ON a.segment_id = s.segment_id"
+			limit = " LIMIT (SELECT segment_id FROM hkg_dim_segment)"
+		)
+		for _, q := range []string{
+			"SELECT segment_name + 1" + seg,
+			"SELECT segment_id" + seg + " ORDER BY segment_name + 1",
+			"SELECT segment_id" + seg + limit,
+			"SELECT segment_type, segment_name + 1" + seg + " GROUP BY segment_type",
+			"SELECT segment_type, COUNT(*)" + seg + " GROUP BY segment_type HAVING segment_name + 1 > 0",
+			"SELECT segment_type, COUNT(*)" + seg + " GROUP BY segment_type ORDER BY segment_name + 1",
+			"SELECT segment_type, SUM(profile_count)" + seg + " GROUP BY segment_type" + limit,
+			"SELECT s.segment_name + 1" + join,
+			"SELECT a.activation_id" + join + " ORDER BY s.segment_name + 1",
+			"SELECT a.activation_id" + join + limit,
+			"SELECT s.segment_type, s.segment_name + 1" + join + " GROUP BY s.segment_type",
+			"SELECT s.segment_type, COUNT(*)" + join + " GROUP BY s.segment_type HAVING s.segment_name + 1 > 0",
+			"SELECT s.segment_type, COUNT(*)" + join + " GROUP BY s.segment_type ORDER BY s.segment_name + 1",
+			"SELECT s.segment_type, MAX(a.delivered_count)" + join + " GROUP BY s.segment_type" + limit,
+		} {
+			fuzzWorld.seeds = append(fuzzWorld.seeds, [2]string{"scaled10:experience_platform", q})
+		}
 	})
 	return fuzzWorld.err
 }

@@ -13,16 +13,13 @@ import (
 // resolved once, extracted once per row, and the rows are reordered through
 // a sorted permutation — sorted on typed key arrays where the keys allow it,
 // except under the plan-less Select, which always sorts on Compare so that
-// the differential oracle does not share the typed path.
-func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result) error {
+// the differential oracle does not share the typed path. A key that is not
+// an output column evaluates against row i's candidate, cands' src[i]; a
+// compound statement passes no candidates, so there it cannot resolve.
+func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result, cands *candidates, src []int32) error {
 	n, nk := len(res.Rows), len(sel.OrderBy)
 	if n == 0 {
 		return nil
-	}
-	projRows := ex.lastProjected
-	if len(projRows) != n {
-		// Set operations changed the row set; order on output columns only.
-		projRows = nil
 	}
 	// Row-major extraction: the first key of the first row that fails is
 	// the error reported, whatever LIMIT would have kept.
@@ -43,10 +40,10 @@ func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result) error {
 				continue
 			}
 			// General expression over the source row/group.
-			if projRows == nil {
+			if cands == nil {
 				return fmt.Errorf("cannot resolve ORDER BY expression %s", sqlast.PrintExpr(sel.OrderBy[k].Expr))
 			}
-			v, err := ex.eval(sel.OrderBy[k].Expr, projRows[i].env, projRows[i].ctx)
+			v, err := ex.eval(sel.OrderBy[k].Expr, cands.env(int(src[i])), cands.ctx(int(src[i])))
 			if err != nil {
 				return err
 			}

@@ -125,7 +125,7 @@ func checkOrderCase(t *testing.T, data []byte) (typed, sorted bool) {
 			ex.plan = &Plan{}
 		}
 		res := &Result{Rows: slices.Clone(rows)}
-		if err := ex.orderRows(sel, res); err != nil {
+		if err := ex.orderRows(sel, res, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -247,6 +247,56 @@ func TestOrderKeyResolution(t *testing.T) {
 	// No row, no key evaluation: the failing key is never reached.
 	if _, err := runBothWays(t, db, "SELECT id FROM empty_t ORDER BY (SELECT id FROM singer)"); err != nil {
 		t.Errorf("ORDER BY over zero rows: %v", err)
+	}
+}
+
+// TestCompoundOrderByOutputColumns pins that a compound statement sorts on
+// its output columns only: a key that is not one cannot resolve, whichever
+// arm the combined row count happens to match, on every entry point.
+func TestCompoundOrderByOutputColumns(t *testing.T) {
+	db := testDB(t)
+	const unresolved = "cannot resolve ORDER BY expression age"
+	for _, tc := range []struct {
+		sql, err string
+		names    []string
+	}{
+		// The right arm keeps three rows, as many as the result.
+		{"SELECT name FROM singer EXCEPT SELECT name FROM singer WHERE age < 35 ORDER BY age", unresolved, nil},
+		{"SELECT name FROM singer EXCEPT SELECT name FROM singer WHERE age < 30 ORDER BY age", unresolved, nil},
+		// The left arm is empty, the right arm is the whole result.
+		{"SELECT name FROM singer WHERE age > 100 UNION ALL SELECT name FROM singer ORDER BY age", unresolved, nil},
+		{"SELECT name FROM singer WHERE age > 30 UNION ALL SELECT name FROM singer ORDER BY age", unresolved, nil},
+		{"SELECT name FROM singer EXCEPT SELECT name FROM singer WHERE age < 35 ORDER BY name", "", []string{"Joe Sharp", "John Nizinik", "Rose White"}},
+	} {
+		p, err := Prepare(db, tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		off := NewExecutor(db)
+		off.SetColumnar(false)
+		for leg, run := range map[string]func() (*Result, error){
+			"run":          func() (*Result, error) { return NewExecutor(db).Run(p) },
+			"columnar off": func() (*Result, error) { return off.Run(p) },
+			"select":       func() (*Result, error) { return NewExecutor(db).Select(p.Stmt) },
+		} {
+			res, err := run()
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Errorf("%s (%s): got %v, want %q", tc.sql, leg, err, tc.err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s (%s): %v", tc.sql, leg, err)
+			}
+			var names []string
+			for _, r := range res.Rows {
+				names = append(names, r[0].S)
+			}
+			if !reflect.DeepEqual(names, tc.names) {
+				t.Errorf("%s (%s): %v, want %v", tc.sql, leg, names, tc.names)
+			}
+		}
 	}
 }
 

@@ -231,17 +231,16 @@ func (p *planner) selectStmt(sel *sqlast.SelectStmt, outer *planScope) {
 	// ORDER BY keys resolve leniently (no diagnostics): output-column and
 	// alias references are matched by orderRows before eval is ever called,
 	// so an unresolved name here is usually not an error. For compound
-	// selects the keys are skipped entirely: orderRows may evaluate them
-	// against another arm's row envs (or not at all), so slots planned
-	// against the first arm's scope would be wrong.
+	// selects the keys are skipped entirely: orderRows only matches them
+	// against the output columns and never evaluates them.
 	if sel.Compound == nil {
 		for _, ob := range sel.OrderBy {
 			p.expr(ob.Expr, scope, false)
 		}
 	} else {
 		for _, ob := range sel.OrderBy {
-			// An unplanned key resolves by name at run time, possibly in an
-			// outer row. Ordinals never evaluate.
+			// An unplanned key keeps the enclosing subqueries open, which is
+			// conservative. Ordinals never evaluate.
 			if _, lit := ob.Expr.(*sqlast.Literal); !lit {
 				p.escape(-1, openCompound, nil)
 			}

@@ -1,38 +1,34 @@
 package engine
 
 import (
-	"errors"
 	"math"
 	"strings"
 
 	"fisql/internal/sqlast"
 )
 
-// errBail is the columnar path's internal "cannot mirror this" sentinel: it
-// aborts the attempt like any evaluation error would, routing the statement
-// to the row executor. It never escapes runVec.
-var errBail = errors.New("columnar bail")
-
 // This file implements the vectorized columnar execution path. Executor.Run
 // tries it before the row-at-a-time executor; SetColumnar(false) disables
-// it. The design goal is byte-identical results with zero new error
-// surfaces, achieved by construction rather than by re-implementation:
+// it. It vectorizes the first half of a SELECT — scan, join, WHERE, GROUP BY
+// and the aggregate folds — and stops at its candidates: the selected
+// context rows, or the groups with their folded aggregates in
+// evalCtx.aggVals. The row executor's one tail (finish, exec.go) then runs
+// HAVING, the select list, DISTINCT, ORDER BY and LIMIT over the
+// environments the row path itself would use: the shared scan environments
+// of a single table, or a scratch environment over each (left, right) pair
+// of a join. Output rows are thus gathered from Table.Rows by the row path's
+// own code; the typed column arrays (columnar.go) feed only masks, group
+// keys and folds.
 //
-//   - Output rows are gathered from Table.Rows (the row-major source of
-//     truth) by the row path's own projectRow/outputColumns/orderRows code,
-//     evaluated over the same shared scan environments the row path uses.
-//     The typed column arrays (columnar.go) feed only the WHERE masks,
-//     GROUP BY partitioning and aggregate folds — stages whose results are
-//     scalar selections or Values, never user-visible row structures.
-//
-//   - Aggregates are folded vectorized once per group and injected into
-//     evalCtx.aggVals, so HAVING/items/ORDER BY still run through ex.eval.
-//
-//   - The path NEVER produces an error. Anything it cannot mirror exactly —
-//     an evaluation error, an unsupported join domain, a scan past maxRows
-//     — abandons the attempt and reruns on the row executor, which owns
-//     every error message and error point. The columnar path can therefore
-//     never succeed where the row path errors, nor error where it succeeds.
+// Results are byte-identical by construction. The vectorized stages succeed
+// only where the row stages succeed with the same selection and the same
+// groups, so an error the tail raises afterwards is the row path's and is
+// returned as is. What the vectorized stages cannot mirror abandons the
+// attempt before the tail and reruns the statement on the row executor,
+// which owns those errors: a mask error (masks do not short-circuit), a
+// group-key error, a fold error (the row path folds lazily inside the tail,
+// so it may meet another error first), a join-key domain the typed hash
+// cannot represent, and a scan or join past maxRows.
 //
 // Plan-time qualification (buildVecPlan) is purely structural: single
 // catalog table, or exactly one INNER/LEFT hash equi-join of two catalog
@@ -55,8 +51,9 @@ type vecPlan struct {
 	leftCol  int // key column in t1
 	rightCol int // key column in t2
 
-	// aggregated mirrors project()'s detection; aggNodes are the aggregate
-	// calls reachable from items/HAVING/ORDER BY, folded once per group.
+	// aggregated is the row path's aggregated(stmt); aggNodes are the
+	// aggregate calls reachable from items/HAVING/ORDER BY, folded once per
+	// group.
 	aggregated bool
 	aggNodes   []*sqlast.FuncCall
 }
@@ -129,18 +126,7 @@ func buildVecPlan(p *Plan) *vecPlan {
 		vp.cols2 = columnNames(t2)
 	}
 
-	// Mirror project()'s aggregation detection (its ORDER BY clause can
-	// never flip the flag: it requires a non-empty GROUP BY, which already
-	// set it).
-	vp.aggregated = len(sel.GroupBy) > 0 || sel.Having != nil
-	if !vp.aggregated {
-		for _, it := range sel.Items {
-			if it.Expr != nil && hasAggregate(it.Expr) {
-				vp.aggregated = true
-				break
-			}
-		}
-	}
+	vp.aggregated = aggregated(sel)
 	if vp.aggregated {
 		for _, it := range sel.Items {
 			if it.Expr != nil {
@@ -217,28 +203,28 @@ type vecExec struct {
 	scratchBinds [2]binding
 }
 
-// runVec attempts columnar execution of p. ok=false means the caller must
-// run the row executor; it is returned for both unqualified statements and
-// mid-flight bails, and never carries a partial result.
-func (ex *Executor) runVec(p *Plan) (*Result, bool) {
+// runVec runs the vectorized stages of p and returns its candidates and
+// header for the tail. ok=false means the caller must run the row executor;
+// it is returned for both unqualified statements and mid-flight bails.
+func (ex *Executor) runVec(p *Plan) (c candidates, cols []string, ok bool) {
 	vp := p.vec.Load()
 	if vp == nil {
 		vp = buildVecPlan(p)
 		p.vec.Store(vp)
 	}
 	if !vp.ok {
-		return nil, false
+		return candidates{}, nil, false
 	}
 	// Tiny-table aggregation: below the floor the row path wins — see
 	// DefaultColumnarMinRows. Scan shapes stay vectorized at any size.
 	if vp.aggregated && ex.colMinRows > 0 && len(vp.t1.Rows) < ex.colMinRows &&
 		(vp.t2 == nil || len(vp.t2.Rows) < ex.colMinRows) {
-		return nil, false
+		return candidates{}, nil, false
 	}
 	// The row executor owns the oversized-scan and oversized-join errors:
 	// bail rather than replicate their text and order.
 	if len(vp.t1.Rows) > ex.maxRows {
-		return nil, false
+		return candidates{}, nil, false
 	}
 	v := &vecExec{ex: ex, vp: vp, stmt: p.Stmt}
 	if vp.t2 == nil {
@@ -247,12 +233,12 @@ func (ex *Executor) runVec(p *Plan) (*Result, bool) {
 		v.envs = ex.db.scanEnvs(vp.t1, vp.alias1)
 	} else {
 		if len(vp.t2.Rows) > ex.maxRows {
-			return nil, false
+			return candidates{}, nil, false
 		}
 		v.ct1 = ex.db.colTable(vp.t1)
 		v.ct2 = ex.db.colTable(vp.t2)
 		if !v.buildPairs() {
-			return nil, false
+			return candidates{}, nil, false
 		}
 		v.n = len(v.pairs)
 		v.rightNulls = make([]Value, len(vp.cols2))
@@ -267,8 +253,8 @@ func (ex *Executor) runVec(p *Plan) (*Result, bool) {
 }
 
 // env returns the evaluation environment for context row i. Single-table
-// environments are the shared scan envs (stable); join environments reuse
-// one scratch env and are only valid until the next call.
+// environments are the shared scan envs; join environments reuse one
+// scratch env and are only valid until the next call.
 func (v *vecExec) env(i int) *rowEnv {
 	if v.vp.t2 == nil {
 		return v.envs[i]
@@ -281,23 +267,6 @@ func (v *vecExec) env(i int) *rowEnv {
 		v.scratchBinds[1].vals = v.rightNulls
 	}
 	return &v.scratch
-}
-
-// stableEnv is env for callers that retain the environment (ORDER BY,
-// group representatives): join rows get a freshly allocated environment.
-func (v *vecExec) stableEnv(i int32) *rowEnv {
-	if v.vp.t2 == nil {
-		return v.envs[i]
-	}
-	p := v.pairs[i]
-	right := v.rightNulls
-	if p.r >= 0 {
-		right = v.vp.t2.Rows[p.r]
-	}
-	return &rowEnv{bindings: []binding{
-		{alias: v.vp.alias1, cols: v.vp.cols1, vals: v.vp.t1.Rows[p.l]},
-		{alias: v.vp.alias2, cols: v.vp.cols2, vals: right},
-	}}
 }
 
 // buildPairs materializes the hash equi-join as (left, right) index pairs in
@@ -411,126 +380,42 @@ func (v *vecExec) buildPairs() bool {
 	return true
 }
 
-// run executes the qualified statement. ok=false at any point means bail to
-// the row executor.
-func (v *vecExec) run() (*Result, bool) {
-	stmt := v.stmt
+// run executes the vectorized stages and returns the candidates and the
+// header. ok=false means bail to the row executor.
+func (v *vecExec) run() (candidates, []string, bool) {
 	selIdx, ok := v.filter()
 	if !ok {
-		return nil, false
+		return candidates{}, nil, false
 	}
-
-	// Header: the row path derives it from the post-WHERE environments
-	// (first survivor as sample, catalog fallback otherwise).
-	var sampleEnvs []*rowEnv
+	var sample *rowEnv
 	if len(selIdx) > 0 {
-		sampleEnvs = []*rowEnv{v.env(int(selIdx[0]))}
+		sample = v.env(int(selIdx[0]))
 	}
-	cols := v.ex.outputColumns(stmt, sampleEnvs)
-
-	var outRows [][]Value
-	var outEnvs []*rowEnv // lazily filled for ORDER BY (aggregated path)
-	var outCtxs []*evalCtx
-	var outSrc []int32 // context row per output row (non-aggregated path)
-
-	if v.vp.aggregated {
-		groups, reps, ok := v.groupSel(selIdx)
-		if !ok {
-			return nil, false
-		}
-		for gi := range groups {
-			aggVals := make(map[*sqlast.FuncCall]Value, len(v.vp.aggNodes))
-			for _, node := range v.vp.aggNodes {
-				val, err := v.aggValue(node, groups[gi])
-				if err != nil {
-					return nil, false
-				}
-				aggVals[node] = val
-			}
-			ctx := &evalCtx{aggVals: aggVals}
-			var rep *rowEnv
-			if reps[gi] < 0 {
-				rep = &rowEnv{} // global aggregation over zero rows
-			} else {
-				rep = v.stableEnv(reps[gi])
-			}
-			if stmt.Having != nil {
-				keep, err := v.ex.evalBool(stmt.Having, rep, ctx)
-				if err != nil {
-					return nil, false
-				}
-				if !keep {
-					continue
-				}
-			}
-			row, err := v.ex.projectRow(stmt, rep, ctx)
+	cols := v.ex.outputColumns(v.stmt, sample)
+	if !v.vp.aggregated {
+		return candidates{vec: v, idx: selIdx}, cols, true
+	}
+	groups, reps, ok := v.groupSel(selIdx)
+	if !ok {
+		return candidates{}, nil, false
+	}
+	ctxs := make([]evalCtx, len(groups))
+	for gi, group := range groups {
+		aggVals := make(map[*sqlast.FuncCall]Value, len(v.vp.aggNodes))
+		for _, node := range v.vp.aggNodes {
+			val, err := v.aggValue(node, group)
 			if err != nil {
-				return nil, false
+				return candidates{}, nil, false
 			}
-			outRows = append(outRows, row)
-			outEnvs = append(outEnvs, rep)
-			outCtxs = append(outCtxs, ctx)
+			aggVals[node] = val
 		}
-	} else {
-		for _, i := range selIdx {
-			row, err := v.ex.projectRow(stmt, v.env(int(i)), nil)
-			if err != nil {
-				return nil, false
-			}
-			outRows = append(outRows, row)
-		}
-		outSrc = selIdx
+		ctxs[gi].aggVals = aggVals
 	}
-
-	if stmt.Distinct {
-		seen := make(map[string]bool, len(outRows))
-		var kb []byte
-		keptRows := outRows[:0]
-		keptEnvs := outEnvs[:0]
-		keptCtxs := outCtxs[:0]
-		keptSrc := outSrc[:0]
-		for i, r := range outRows {
-			kb = rowKeyAppend(kb[:0], r)
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			keptRows = append(keptRows, r)
-			if outEnvs != nil {
-				keptEnvs = append(keptEnvs, outEnvs[i])
-				keptCtxs = append(keptCtxs, outCtxs[i])
-			}
-			if outSrc != nil {
-				keptSrc = append(keptSrc, outSrc[i])
-			}
-		}
-		outRows, outEnvs, outCtxs, outSrc = keptRows, keptEnvs, keptCtxs, keptSrc
+	if len(reps) == 1 && reps[0] < 0 {
+		// Global aggregation over zero rows.
+		return candidates{envs: []*rowEnv{{}}, ctxs: ctxs}, cols, true
 	}
-
-	res := &Result{Columns: cols, Rows: outRows}
-
-	if len(stmt.OrderBy) > 0 {
-		proj := make([]projected, len(outRows))
-		for i := range outRows {
-			proj[i].row = outRows[i]
-			if v.vp.aggregated {
-				proj[i].env = outEnvs[i]
-				proj[i].ctx = outCtxs[i]
-			} else {
-				proj[i].env = v.stableEnv(outSrc[i])
-			}
-		}
-		v.ex.lastProjected = proj
-		if err := v.ex.orderRows(stmt, res); err != nil {
-			return nil, false
-		}
-		res.Ordered = true
-	}
-
-	if err := v.ex.limitRows(stmt, res, nil); err != nil {
-		return nil, false
-	}
-	return res, true
+	return candidates{vec: v, idx: reps, ctxs: ctxs}, cols, true
 }
 
 // filter applies WHERE and returns the surviving context rows in order.
@@ -1239,112 +1124,26 @@ func (v *vecExec) argSlot(e sqlast.Expr) (colSlot, bool) {
 	return slot, true
 }
 
-// aggValue folds one aggregate call over a group of context rows, mirroring
-// evalAggregate exactly (same NULL skipping, same DISTINCT keys, same
-// deferred non-numeric error, same first-wins ties in MIN/MAX). An error
-// bails the whole columnar attempt.
+// aggValue folds one aggregate call over a group of context rows: on a
+// typed column when typedFold can, otherwise with the row path's own fold
+// over argument values gathered from a column slot or evaluated per row.
 func (v *vecExec) aggValue(x *sqlast.FuncCall, group []int32) (Value, error) {
-	if x.Star {
-		if x.Name != "COUNT" {
-			return Value{}, errBail
-		}
-		return Int(int64(len(group))), nil
-	}
-	if len(x.Args) != 1 {
-		return Value{}, errBail
-	}
-
-	// Typed folds over single-table columns.
-	if v.vp.t2 == nil && !x.Distinct {
-		if ci, ok := v.slotCol(x.Args[0]); ok {
-			c := &v.ct1.cols[ci]
-			if val, ok := v.typedFold(x.Name, c, ci, group); ok {
+	var slot colSlot
+	fastArg := false
+	if !x.Star && len(x.Args) == 1 {
+		if ci, ok := v.slotCol(x.Args[0]); ok && v.vp.t2 == nil && !x.Distinct {
+			if val, ok := v.typedFold(x.Name, &v.ct1.cols[ci], ci, group); ok {
 				return val, nil
 			}
 		}
+		slot, fastArg = v.argSlot(x.Args[0])
 	}
-
-	// Generic fold: per-row argument values (gathered directly for bare
-	// column refs, evaluated otherwise), folded with evalAggregate's exact
-	// streaming logic.
-	slot, fastArg := v.argSlot(x.Args[0])
-	var seen map[string]bool
-	var kb []byte
-	n := 0
-	sum := 0.0
-	allInt := true
-	badNumeric := false
-	var best Value
-	for _, i := range group {
-		var val Value
+	return foldAggregate(x, len(group), func(k int) (Value, error) {
 		if fastArg {
-			val = v.gatherSlot(i, slot)
-		} else {
-			var err error
-			val, err = v.ex.eval(x.Args[0], v.env(int(i)), nil)
-			if err != nil {
-				return Value{}, err
-			}
+			return v.gatherSlot(group[k], slot), nil
 		}
-		if val.IsNull() {
-			continue
-		}
-		if x.Distinct {
-			if seen == nil {
-				seen = map[string]bool{}
-			}
-			kb = val.appendKey(kb[:0])
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-		}
-		n++
-		switch x.Name {
-		case "SUM", "AVG":
-			f, ok := val.AsFloat()
-			if !ok {
-				badNumeric = true
-				continue
-			}
-			if val.T != TypeInt {
-				allInt = false
-			}
-			if !badNumeric {
-				sum += f
-			}
-		case "MIN", "MAX":
-			if n == 1 {
-				best = val
-			} else if c := Compare(val, best); (x.Name == "MIN" && c < 0) || (x.Name == "MAX" && c > 0) {
-				best = val
-			}
-		}
-	}
-	switch x.Name {
-	case "COUNT":
-		return Int(int64(n)), nil
-	case "SUM", "AVG":
-		if badNumeric {
-			return Value{}, errBail
-		}
-		if n == 0 {
-			return Null(), nil
-		}
-		if x.Name == "AVG" {
-			return Float(sum / float64(n)), nil
-		}
-		if allInt {
-			return Int(int64(sum)), nil
-		}
-		return Float(sum), nil
-	case "MIN", "MAX":
-		if n == 0 {
-			return Null(), nil
-		}
-		return best, nil
-	}
-	return Value{}, errBail
+		return v.ex.eval(x.Args[0], v.env(int(group[k])), nil)
+	})
 }
 
 // typedFold folds COUNT/SUM/AVG/MIN/MAX over one typed column. ok=false

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"fisql/internal/sqlast"
 	"fisql/internal/sqlparse"
 )
 
@@ -286,5 +289,145 @@ func TestColumnarLimitParity(t *testing.T) {
 		"SELECT name FROM singer WHERE age > 1000 LIMIT 3",
 	} {
 		runBoth(t, db, q)
+	}
+}
+
+// TestTailErrorsAfterVectorizedStages runs statements whose vectorized
+// stages succeed and whose shared tail then errors — in the select list, in
+// HAVING, in an ORDER BY key or in LIMIT — aggregated or not, on one table
+// and on a join. The error is returned as is, so every leg must give the
+// same text, and the columnar legs count a hit, not a fallback.
+func TestTailErrorsAfterVectorizedStages(t *testing.T) {
+	db := NewDatabase("tail")
+	if err := db.LoadScript("CREATE TABLE big (id INT, name TEXT, grp INT); CREATE TABLE other (id INT, label TEXT);"); err != nil {
+		t.Fatal(err)
+	}
+	big, _ := db.Table("big")
+	other, _ := db.Table("other")
+	for i := 0; i < 2*DefaultColumnarMinRows; i++ {
+		big.Rows = append(big.Rows, []Value{Int(int64(i)), Text(fmt.Sprintf("n%d", i)), Int(int64(i % 5))})
+		if i%2 == 0 {
+			other.Rows = append(other.Rows, []Value{Int(int64(i)), Text(fmt.Sprintf("l%d", i%3))})
+		}
+	}
+	const (
+		join     = " FROM big AS b JOIN other AS o ON b.id = o.id"
+		arith    = "arithmetic on non-numeric values TEXT, INT"
+		tooMany  = "scalar subquery returned 256 rows"
+		limitBad = " LIMIT (SELECT id FROM big)"
+	)
+	for _, tc := range []struct{ sql, err string }{
+		{"SELECT name + 1 FROM big", arith},
+		{"SELECT id FROM big ORDER BY name + 1", arith},
+		{"SELECT id FROM big WHERE grp = 2" + limitBad, tooMany},
+		{"SELECT grp, name + 1 FROM big GROUP BY grp", arith},
+		{"SELECT grp, COUNT(*) FROM big GROUP BY grp HAVING name + 1 > 0", arith},
+		{"SELECT grp, COUNT(*) FROM big GROUP BY grp ORDER BY name + 1", arith},
+		{"SELECT MAX(id) FROM big HAVING name + 1 > 0", arith},
+		{"SELECT grp, SUM(id) FROM big GROUP BY grp" + limitBad, tooMany},
+		{"SELECT b.name + 1" + join, arith},
+		{"SELECT o.label" + join + " ORDER BY b.name + 1", arith},
+		{"SELECT o.label" + join + limitBad, tooMany},
+		{"SELECT o.label, b.name + 1" + join + " GROUP BY o.label", arith},
+		{"SELECT o.label, COUNT(*)" + join + " GROUP BY o.label HAVING b.name + 1 > 0", arith},
+		{"SELECT o.label, COUNT(*)" + join + " GROUP BY o.label ORDER BY b.name + 1", arith},
+		{"SELECT o.label, MIN(b.name)" + join + " GROUP BY o.label" + limitBad, tooMany},
+	} {
+		p, err := Prepare(db, tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		off := NewExecutor(db)
+		off.SetColumnar(false)
+		unfloored := NewExecutor(db)
+		unfloored.SetColumnarMinRows(0)
+		for _, leg := range []struct {
+			name     string
+			run      func() (*Result, error)
+			columnar bool
+		}{
+			{"run", func() (*Result, error) { return NewExecutor(db).Run(p) }, true},
+			{"columnar off", func() (*Result, error) { return off.Run(p) }, false},
+			{"no floor", func() (*Result, error) { return unfloored.Run(p) }, true},
+			{"select", func() (*Result, error) { return NewExecutor(db).Select(p.Stmt) }, false},
+		} {
+			h0, f0 := db.ColumnarStats()
+			_, err := leg.run()
+			h1, f1 := db.ColumnarStats()
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s (%s): got %v, want %q", tc.sql, leg.name, err, tc.err)
+			}
+			if leg.columnar && (h1 != h0+1 || f1 != f0) {
+				t.Errorf("%s (%s): hits %d->%d, fallbacks %d->%d; want one hit", tc.sql, leg.name, h0, h1, f0, f1)
+			}
+		}
+	}
+}
+
+// foldPools are the value domains TestTypedFoldMatchesSharedFold draws a
+// column from: each gives typedFold a different column kind to decide on.
+var foldPools = [][]Value{
+	{Int(0), Int(1), Int(-3), Int(7), Int(1 << 53), Int(1<<53 + 1)},
+	{Float(0), Float(math.Copysign(0, -1)), Float(1.5), Float(-2.25), Float(math.Inf(1)), Float(math.Inf(-1))},
+	{Int(0), Float(math.Copysign(0, -1)), Int(1), Float(1), Int(2), Float(2.5), Float(math.Inf(1)), Float(math.Inf(-1))},
+	{Text("a"), Text("A"), Text("b"), Text("B"), Text(""), Text("ab"), Text("é"), Text("É")},
+	{},
+	{Bool(true), Bool(false)},
+	{Int(1), Text("1"), Bool(true), Float(math.NaN()), Float(2)},
+}
+
+// sameValue is Value identity, float bits included: -0 is not 0.
+func sameValue(a, b Value) bool {
+	if a.T == TypeFloat && b.T == TypeFloat {
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	return a == b
+}
+
+// TestTypedFoldMatchesSharedFold generates random columns and random groups
+// and checks that for every aggregate typedFold either declines or returns
+// exactly what the shared fold returns over the same rows — the same Value,
+// type included: MIN and MAX over an int / float tie return the first row's
+// original value.
+func TestTypedFoldMatchesSharedFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	arg := &sqlast.ColumnRef{Column: "c"}
+	answered := map[string]int{}
+	for iter := 0; iter < 2000; iter++ {
+		pool := foldPools[rng.Intn(len(foldPools))]
+		tbl := &Table{Name: "t", Columns: []Column{{Name: "c"}}}
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			v := Null()
+			if len(pool) > 0 && rng.Intn(6) != 0 {
+				v = pool[rng.Intn(len(pool))]
+			}
+			tbl.Rows = append(tbl.Rows, []Value{v})
+		}
+		ct := buildColTable(tbl)
+		v := &vecExec{vp: &vecPlan{t1: tbl}, ct1: ct}
+		var group []int32
+		for i := range tbl.Rows {
+			if rng.Intn(3) != 0 {
+				group = append(group, int32(i))
+			}
+		}
+		for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
+			got, ok := v.typedFold(name, &ct.cols[0], 0, group)
+			if !ok {
+				continue
+			}
+			answered[name]++
+			want, err := foldAggregate(&sqlast.FuncCall{Name: name, Args: []sqlast.Expr{arg}}, len(group), func(k int) (Value, error) {
+				return tbl.Rows[group[k]][0], nil
+			})
+			if err != nil || !sameValue(got, want) {
+				t.Fatalf("%s over %v: typed %#v, shared fold %#v (err %v)", name, tbl.Rows, got, want, err)
+			}
+		}
+	}
+	for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
+		if answered[name] < 500 {
+			t.Errorf("typedFold answered %s only %d times", name, answered[name])
+		}
 	}
 }
