@@ -1,15 +1,15 @@
 // Session-event fanout: GET /v1/sessions/{id}/events.
 //
 // Every session carries a pubsub topic (internal/pubsub) to which the
-// server publishes its lifecycle events — open, then per acknowledged turn
+// server publishes its lifecycle events — open, then per committed turn
 // sql/explanation/result/done (plus feedback for a feedback turn), then
-// delete — at exactly the points it journals them. Publishing only
-// acknowledged turns makes the event stream a pure function of the
-// journaled history: crash recovery and cluster failover promotion replay
-// the journal through the same publish calls, rebuilding each topic with
-// the same payloads under the same sequence numbers, so a subscriber that
-// resumes against a rebuilt owner never sees a sequence regress or a
-// duplicate turn.
+// delete. A turn is published by commit once its record is in the local
+// journal (even when replicating it failed), and by replay through the
+// same publishTurn. The event stream is therefore a pure function of the
+// journaled history: crash recovery and cluster failover promotion rebuild
+// each topic with the same payloads under the same sequence numbers, so a
+// subscriber that resumes against a rebuilt owner never sees a sequence
+// regress or a duplicate turn.
 //
 // The endpoint is a long-lived SSE stream. Each event carries its topic
 // sequence number as the SSE id line:
@@ -35,6 +35,7 @@ import (
 	"strconv"
 
 	"fisql/internal/assistant"
+	"fisql/internal/persist"
 	"fisql/internal/pubsub"
 )
 
@@ -64,17 +65,27 @@ type feedbackEvent struct {
 	HighlightStart int    `json:"highlight_start"`
 }
 
-func feedbackPayload(text, highlight string, start int) pubsub.Payload {
-	data, _ := json.Marshal(feedbackEvent{Text: text, Highlight: highlight, HighlightStart: start})
-	return pubsub.Payload{Type: "feedback", Data: data}
-}
-
-// answerPayloads renders one acknowledged turn as its fanout events. body
-// is the turn's rendered wire body (renderAnswer), whose line — the body
-// minus its trailing newline — becomes the done payload, byte-identical to
-// the SSE done event and (plus '\n') to the plain response body. The stage
-// payloads marshal through the same wire structs as the /ask SSE stream.
-func answerPayloads(ans *assistant.Answer, body []byte) []pubsub.Payload {
+// publishAnswer publishes one committed turn to the session's topic as a
+// single atomic batch, so a concurrent delete event can never interleave
+// into the middle of a turn: a feedback turn's feedback event (derived from
+// the record), then sql, explanation, result and done. body is the turn's
+// rendered wire body (renderAnswer), whose line — the body minus its
+// trailing newline — is the done payload, byte-identical to the SSE done
+// event and (plus '\n') to the plain response body. The stage payloads
+// marshal through the same wire structs as the /ask SSE stream. Returns the
+// events and the sequence number of done (0 when the topic is gone — the
+// session was deleted while the turn was in flight).
+func (s *Server) publishAnswer(rec persist.Record, ans *assistant.Answer, body []byte) ([]pubsub.Payload, uint64) {
+	n := 4
+	if rec.Type == persist.TFeedback {
+		n = 5
+	}
+	events := make([]pubsub.Payload, 0, n)
+	if rec.Type == persist.TFeedback {
+		data, _ := json.Marshal(feedbackEvent{Text: rec.Text, Highlight: rec.Highlight,
+			HighlightStart: rec.HighlightStart})
+		events = append(events, pubsub.Payload{Type: "feedback", Data: data})
+	}
 	sqlData, _ := json.Marshal(sqlEvent{SQL: ans.SQL})
 	expData, _ := json.Marshal(explanationEvent{
 		Reformulation: ans.Reformulation,
@@ -88,25 +99,13 @@ func answerPayloads(ans *assistant.Answer, body []byte) []pubsub.Payload {
 		res.Columns, res.Rows = resultToJSON(ans.Result)
 	}
 	resData, _ := json.Marshal(res)
-	return []pubsub.Payload{
-		{Type: "sql", Data: sqlData},
-		{Type: "explanation", Data: expData},
-		{Type: "result", Data: resData},
-		{Type: "done", Data: body[:len(body)-1]},
-	}
-}
-
-// publishAnswer publishes one acknowledged turn (optionally prefixed by its
-// feedback event) to the session's topic as a single atomic batch, so a
-// concurrent delete event can never interleave into the middle of a turn.
-// Returns the sequence number of the done event (0 when the topic is gone —
-// the session was deleted while the turn was in flight).
-func (s *Server) publishAnswer(id string, fb *pubsub.Payload, ans *assistant.Answer, body []byte) uint64 {
-	payloads := answerPayloads(ans, body)
-	if fb != nil {
-		payloads = append([]pubsub.Payload{*fb}, payloads...)
-	}
-	return s.hub.Publish(id, payloads...)
+	events = append(events,
+		pubsub.Payload{Type: "sql", Data: sqlData},
+		pubsub.Payload{Type: "explanation", Data: expData},
+		pubsub.Payload{Type: "result", Data: resData},
+		pubsub.Payload{Type: "done", Data: body[:len(body)-1]},
+	)
+	return events, s.hub.Publish(rec.Session, events...)
 }
 
 // flusherOf finds the http.Flusher behind w, walking Unwrap chains (the
@@ -203,8 +202,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE frames one event (id omitted when seq is 0). data must be
-// newline-free — every published payload is single-line JSON.
+// writeSSE frames one event (id omitted when seq is 0) — the one SSE framer,
+// shared by /events and the streamed ask. data must be newline-free: every
+// payload is single-line JSON.
 func writeSSE(w http.ResponseWriter, seq uint64, name string, data []byte) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()

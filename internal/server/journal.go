@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"fisql/internal/feedback"
 	"fisql/internal/persist"
 )
 
@@ -37,7 +36,7 @@ type RecoveryInfo struct {
 func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 
 // recoverJournal rebuilds the pre-crash sessions by replaying the
-// journal's surviving records through the normal Ask/Feedback pipeline.
+// journal's surviving records through apply, the path live turns take.
 // Replay is deterministic — the simulated model, plan cache and answer
 // memo reproduce each turn exactly — so a recovered session's history is
 // byte-identical to the one the crash interrupted. Unknown corpora or
@@ -58,11 +57,9 @@ func (s *Server) recoverJournal() {
 	// whose create records compaction already dropped (a delete followed by
 	// a checkpoint erases every trace of the session from SessionsSeen);
 	// SessionsSeen covers ids that appear only in torn or partial groups.
-	maxID := s.journal.Watermark()
+	s.raiseNextID(s.journal.Watermark())
 	for _, id := range s.journal.SessionsSeen() {
-		if n, err := strconv.ParseInt(strings.TrimPrefix(id, "s"), 10, 64); err == nil && n > maxID {
-			maxID = n
-		}
+		s.raiseNextID(sessionNumber(id))
 	}
 	groups, dropped := groupRecords(recs)
 	info.Skipped += dropped
@@ -76,10 +73,6 @@ func (s *Server) recoverJournal() {
 		// session count, the earliest-created sessions are the LRU victims,
 		// matching what the pre-crash eviction order journaled.
 		s.store.put(group[0].Session, sess)
-	}
-	// Fresh ids must not collide with recovered ones.
-	if cur := s.nextID.Load(); maxID > cur {
-		s.nextID.Store(maxID)
 	}
 	// Reconcile: sessions the replay itself evicted (store cap below the
 	// journal's session count) are dead; checkpoint the journal down to
@@ -119,60 +112,37 @@ func groupRecords(recs []persist.Record) (groups [][]persist.Record, dropped int
 }
 
 // replayGroup rebuilds one session from its journal records (group[0] must
-// be the TCreate) by replaying each turn through the normal Ask/Feedback
-// pipeline — the shared deterministic-replay path of startup recovery and
-// cluster adoption. The returned session is not yet registered in the
+// be the TCreate) — the shared deterministic-replay path of startup
+// recovery and cluster adoption. Each turn record goes through the same
+// apply as a live request, then through commit's publish half (the record
+// is already journaled). The returned session is not yet registered in the
 // store. ok is false when the corpus or database no longer exists; skipped
 // counts turns that errored or records replay does not apply (delete and
 // handoff markers, which a live group never contains).
 //
-// Replay publishes each rebuilt turn to the session's fanout topic exactly
-// as the live handlers did: the hub only ever sees acknowledged (journaled)
-// turns, and replay is deterministic, so a rebuilt topic re-seeds the same
-// sequence numbers with byte-identical payloads — a subscriber resuming
-// via Last-Event-ID against a restarted or promoted owner continues the
-// sequence it was reading, with no regress and no duplicate turn.
+// The hub only ever sees turns that reached the journal, and replay is
+// deterministic, so a rebuilt topic re-seeds the same sequence numbers with
+// byte-identical payloads — a subscriber resuming via Last-Event-ID against
+// a restarted or promoted owner continues the sequence it was reading, with
+// no regress and no duplicate turn.
 func (s *Server) replayGroup(ctx context.Context, group []persist.Record) (sess *session, skipped int, ok bool) {
 	create := group[0]
 	sys, found := s.systems[create.Corpus]
 	if !found || !hasDatabase(sys, create.DB) {
 		return nil, len(group), false
 	}
-	sess = &session{sess: sys.NewSession(create.DB), db: create.DB}
-	s.hub.Open(create.Session)
-	s.hub.Publish(create.Session, openPayload(create.Session, create.Corpus, create.DB))
+	sess = s.openSession(create.Session, create.Corpus, create.DB)
 	for _, rec := range group[1:] {
-		switch rec.Type {
-		case persist.TAsk:
-			ans, err := sess.sess.Ask(ctx, rec.Text)
-			if err != nil {
-				skipped++
-				continue
-			}
-			if body, rerr := s.renderAnswer(nil, ans); rerr == nil {
-				s.publishAnswer(create.Session, nil, ans, body)
-			}
-		case persist.TFeedback:
-			var hl *feedback.Highlight
-			if rec.HighlightStart >= 0 {
-				hl = &feedback.Highlight{
-					Start: rec.HighlightStart,
-					End:   rec.HighlightStart + len(rec.Highlight),
-					Text:  rec.Highlight,
-				}
-			}
-			ans, err := sess.sess.Feedback(ctx, rec.Text, hl)
-			if err != nil {
-				skipped++
-				continue
-			}
-			if body, rerr := s.renderAnswer(nil, ans); rerr == nil {
-				fb := feedbackPayload(rec.Text, rec.Highlight, rec.HighlightStart)
-				s.publishAnswer(create.Session, &fb, ans, body)
-			}
-		default:
+		if rec.Type != persist.TAsk && rec.Type != persist.TFeedback {
 			skipped++
+			continue
 		}
+		rec, ans, _, err := s.apply(ctx, sess, rec)
+		if err != nil {
+			skipped++
+			continue
+		}
+		_, _, _, _ = s.publishTurn(nil, rec, ans)
 	}
 	return sess, skipped, true
 }
@@ -241,17 +211,12 @@ func (s *Server) AdoptSessions(recs []persist.Record) AdoptResult {
 		}
 		s.store.put(id, sess)
 		res.Adopted = append(res.Adopted, id)
-		if n, err := strconv.ParseInt(strings.TrimPrefix(id, "s"), 10, 64); err == nil && n > res.MaxID {
+		if n := sessionNumber(id); n > res.MaxID {
 			res.MaxID = n
 		}
 	}
 	// Fresh ids issued here must never collide with adopted ones.
-	for res.MaxID > 0 {
-		cur := s.nextID.Load()
-		if cur >= res.MaxID || s.nextID.CompareAndSwap(cur, res.MaxID) {
-			break
-		}
-	}
+	s.raiseNextID(res.MaxID)
 	return res
 }
 
@@ -262,4 +227,25 @@ func hasDatabase(sys SessionFactory, db string) bool {
 		}
 	}
 	return false
+}
+
+// sessionNumber parses the numeric part of a session id ("s42" → 42), or 0
+// for an id that has none.
+func sessionNumber(id string) int64 {
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "s"), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+// raiseNextID moves the id counter up to n if it is below, never down, so
+// fresh ids stay ahead of every id issued, preset, recovered or adopted.
+func (s *Server) raiseNextID(n int64) {
+	for {
+		cur := s.nextID.Load()
+		if cur >= n || s.nextID.CompareAndSwap(cur, n) {
+			return
+		}
+	}
 }

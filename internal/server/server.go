@@ -11,6 +11,13 @@
 // for different sessions proceed on different shard locks, eviction is
 // true-LRU in O(1), and sessions evicted while a request is in flight
 // answer 410 Gone.
+//
+// Every turn is a persist.Record and takes one path: apply runs it through
+// the session's pipeline, commit journals it (and replicates it) and then
+// publishes it to the session's /events topic. /ask, /feedback, the
+// streamed ask (sse.go) and journal replay (journal.go: crash recovery and
+// cluster adoption) all go through apply; replay, whose records are already
+// journaled, runs only commit's publish half.
 package server
 
 import (
@@ -81,11 +88,14 @@ type Server struct {
 	// the router tier pre-assign session ids (the id must determine the
 	// owning node, so it is issued before the create is forwarded).
 	// handoffs names the target node of sessions being released by a drain,
-	// so their removal journals a THandoff instead of a TDelete.
+	// so their removal journals a THandoff instead of a TDelete. creating
+	// holds the preset ids whose create is in flight, so two concurrent
+	// creates of one id cannot both journal and register it.
 	replicator Replicator
 	presetIDs  bool
 	handoffMu  sync.Mutex
 	handoffs   map[string]string
+	creating   sync.Map
 
 	// Admission control (admission.go). Nil limiters admit everything; the
 	// precomputed Retry-After value rides on every shed response.
@@ -157,8 +167,9 @@ func WithPubSubRing(n int) Option {
 // session's redundant copy (the follower node). It is called after the
 // local journal append succeeds and before the turn is acknowledged; an
 // error fails the request without evicting the session — the local journal
-// did capture the turn, only the follower copy is missing, and a retry
-// re-replicates (see DESIGN.md "Cluster serving" for the exact contract).
+// did capture the turn, so it stays in the history and on /events, only the
+// follower copy is missing, and a retry re-replicates (see DESIGN.md
+// "Cluster serving" for the exact contract).
 type Replicator func(rec persist.Record) error
 
 // WithReplicator installs the cluster replication hook.
@@ -530,19 +541,6 @@ func (s *Server) SessionIDs() []string {
 	return out
 }
 
-// dropDiverged evicts a session whose live state just diverged from the
-// journal: the turn was applied to the in-memory session but its append
-// failed, so keeping the session would serve (and, after a crash, replay
-// against) a history the journal never captured — and a client retrying
-// the 500 would double-apply the turn. Eviction makes the divergence
-// unobservable: the session answers 404/410 until the client recreates it,
-// and the removal hook journals the delete (best effort — on a broken
-// journal the delete fails too, and replay then rebuilds the session from
-// exactly the turns that were captured).
-func (s *Server) dropDiverged(sess *session) {
-	s.store.remove(sess.id)
-}
-
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req createReq
 	if !s.decodeBody(w, r, &req) {
@@ -556,44 +554,42 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown corpus "+req.Corpus)
 		return
 	}
-	dbs := sys.Databases()
-	if req.DB == "" && len(dbs) > 0 {
-		req.DB = dbs[0]
-	}
-	found := false
-	for _, d := range dbs {
-		if d == req.DB {
-			found = true
+	if req.DB == "" {
+		if dbs := sys.Databases(); len(dbs) > 0 {
+			req.DB = dbs[0]
 		}
 	}
-	if !found {
+	if !hasDatabase(sys, req.DB) {
 		httpError(w, http.StatusNotFound, "unknown database "+req.DB)
 		return
 	}
 	var n int64
 	var id string
 	if hid := r.Header.Get("X-Fisql-Session-Id"); s.presetIDs && hid != "" {
+		// Claim the id for the whole create, so a concurrent create of the
+		// same id cannot also journal and register it.
+		_, busy := s.creating.LoadOrStore(hid, struct{}{})
+		if !busy {
+			defer s.creating.Delete(hid)
+		}
+		db := req.DB
 		if existing, ok := s.store.get(hid); ok {
+			busy, db = true, existing.db
+		}
+		if busy {
 			// A retried create (the router re-forwarding after a transient
 			// failure) can race its own first attempt. 409 with the session's
 			// coordinates lets the router treat the retry as satisfied.
 			writeJSONStatus(w, http.StatusConflict, map[string]any{
-				"error": "session exists", "session_id": hid, "db": existing.db,
+				"error": "session exists", "session_id": hid, "db": db,
 			})
 			return
 		}
 		id = hid
-		if v, err := strconv.ParseInt(strings.TrimPrefix(hid, "s"), 10, 64); err == nil {
-			n = v
-			// Keep locally issued ids ahead of every preset one, so a node
-			// falling back to local issuance can never collide.
-			for {
-				cur := s.nextID.Load()
-				if cur >= v || s.nextID.CompareAndSwap(cur, v) {
-					break
-				}
-			}
-		}
+		n = sessionNumber(hid)
+		// Keep locally issued ids ahead of every preset one, so a node
+		// falling back to local issuance can never collide.
+		s.raiseNextID(n)
 	} else {
 		n = s.nextID.Add(1)
 		id = "s" + strconv.FormatInt(n, 10)
@@ -615,12 +611,19 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "journal: "+err.Error())
 		return
 	}
-	// Open the fanout topic before the session becomes visible: a subscriber
-	// that sees the session in the store must find its topic.
-	s.hub.Open(id)
-	s.hub.Publish(id, openPayload(id, req.Corpus, req.DB))
-	s.store.put(id, &session{sess: sys.NewSession(req.DB), db: req.DB})
+	s.store.put(id, s.openSession(id, req.Corpus, req.DB))
 	writeJSON(w, map[string]any{"session_id": id, "db": req.DB})
+}
+
+// openSession builds a session of a known corpus and database and opens its
+// fanout topic with the open event — shared by create and replay, so a
+// rebuilt topic starts exactly as the live one did. The topic opens before
+// the caller registers the session: a subscriber that sees the session in
+// the store must find its topic.
+func (s *Server) openSession(id, corpus, db string) *session {
+	s.hub.Open(id)
+	s.hub.Publish(id, openPayload(id, corpus, db))
+	return &session{sess: s.systems[corpus].NewSession(db), db: db}
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -768,59 +771,8 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing question")
 		return
 	}
-	// Admission after validation: malformed requests get their precise 4xx
-	// cheaply and never consume a pipeline slot.
-	admitted, shedded := s.askLimit.acquire(r.Context())
-	if !admitted {
-		if shedded {
-			s.shed(w)
-		}
-		// Otherwise the client vanished while queued; nothing to write.
-		return
-	}
-	defer s.askLimit.release()
-	if !s.lockLive(w, sess) {
-		return
-	}
-	defer sess.mu.Unlock()
-	ctx, tr := s.traced(r)
-	defer tr.Finish()
-	if wantsSSE(r) {
-		if fl := flusherOf(w); fl != nil {
-			s.streamAsk(ctx, w, fl, tr, sess, req.Question)
-			return
-		}
-		// The client opted into streaming over a connection that cannot
-		// stream: without a Flusher every event would buffer and arrive as
-		// one burst at handler return — a fake stream that breaks live
-		// following. Serve the plain JSON body instead, and count it.
-		s.sseNoFlush.Inc()
-	}
-	ans, err := sess.sess.Ask(ctx, req.Question)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// Journaled only on success: a failed ask appends no history, so replay
-	// must not re-run it. Holding sess.mu keeps the journal's per-session
-	// record order identical to the history order.
-	if err := s.journalAppend(persist.Record{
-		Type: persist.TAsk, Session: sess.id, Text: req.Question,
-	}); err != nil {
-		if !isReplicationError(err) {
-			s.dropDiverged(sess)
-		}
-		httpError(w, http.StatusInternalServerError, "journal: "+err.Error())
-		return
-	}
-	body, err := s.renderAnswer(tr, ans)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode response: "+err.Error())
-		return
-	}
-	// Acknowledged and journaled: fan the turn out to /events subscribers.
-	s.publishAnswer(sess.id, nil, ans, body)
-	writeBody(w, body)
+	s.serveTurn(w, r, s.askLimit, sess,
+		persist.Record{Type: persist.TAsk, Session: sess.id, Text: req.Question})
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -837,77 +789,140 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing feedback text")
 		return
 	}
-	admitted, shedded := s.fbLimit.acquire(r.Context())
+	rec := persist.Record{Type: persist.TFeedback, Session: sess.id, Text: req.Text,
+		Highlight: req.Highlight, HighlightStart: -1}
+	if req.Highlight != "" && req.HighlightStart != nil {
+		// To apply, -1 means "the first occurrence"; an explicit negative
+		// offset can never point at an occurrence, so it is refused here.
+		if o := *req.HighlightStart; o < 0 {
+			httpError(w, http.StatusBadRequest, offsetMismatch(req.Highlight, o).Error())
+			return
+		}
+		rec.HighlightStart = *req.HighlightStart
+	}
+	s.serveTurn(w, r, s.fbLimit, sess, rec)
+}
+
+// serveTurn is the one tail of /ask and /feedback: admission, the session
+// lock and the request trace, then apply → commit → write. It runs after
+// validation, so malformed requests get their precise 4xx cheaply and never
+// consume a pipeline slot. Only an ask may stream (see sse.go).
+func (s *Server) serveTurn(w http.ResponseWriter, r *http.Request, lim *limiter, sess *session, rec persist.Record) {
+	admitted, shedded := lim.acquire(r.Context())
 	if !admitted {
 		if shedded {
 			s.shed(w)
 		}
+		// Otherwise the client vanished while queued; nothing to write.
 		return
 	}
-	defer s.fbLimit.release()
+	defer lim.release()
 	if !s.lockLive(w, sess) {
 		return
 	}
 	defer sess.mu.Unlock()
 	ctx, tr := s.traced(r)
 	defer tr.Finish()
-	var hl *feedback.Highlight
-	hlStart := -1
-	if req.Highlight != "" {
-		sqlText := sess.sess.SQL()
-		if req.HighlightStart != nil {
-			// An explicit offset grounds a span that occurs more than once
-			// in the SQL (first-occurrence matching would silently pick the
-			// wrong one); it must point at an exact occurrence.
-			o := *req.HighlightStart
-			if o < 0 || o > len(sqlText)-len(req.Highlight) ||
-				sqlText[o:o+len(req.Highlight)] != req.Highlight {
-				httpError(w, http.StatusBadRequest,
-					fmt.Sprintf("highlight %q does not occur at byte offset %d of the current SQL",
-						req.Highlight, o))
-				return
-			}
-			hlStart = o
-		} else if idx := strings.Index(sqlText, req.Highlight); idx >= 0 {
-			// Documented fallback: without highlight_start the first
-			// occurrence is used.
-			hlStart = idx
-		} else {
-			// Silently dropping the highlight would let the client believe
-			// its grounding was used; tell it the span does not occur.
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("highlight %q does not occur in the current SQL", req.Highlight))
+	if rec.Type == persist.TAsk && wantsSSE(r) {
+		if fl := flusherOf(w); fl != nil {
+			s.streamAsk(ctx, w, fl, tr, sess, rec)
 			return
 		}
-		hl = &feedback.Highlight{Start: hlStart, End: hlStart + len(req.Highlight), Text: req.Highlight}
+		// The client opted into streaming over a connection that cannot
+		// stream: without a Flusher every event would buffer and arrive as
+		// one burst at handler return — a fake stream that breaks live
+		// following. Serve the plain JSON body instead, and count it.
+		s.sseNoFlush.Inc()
 	}
-	ans, err := sess.sess.Feedback(ctx, req.Text, hl)
+	rec, ans, code, err := s.apply(ctx, sess, rec)
+	if err != nil {
+		httpError(w, code, err.Error())
+		return
+	}
+	body, _, _, err := s.commit(tr, sess, rec, ans)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// The resolved offset (not the client's raw request) is journaled, so
-	// replay reconstructs the exact grounding even for the fallback path.
-	if err := s.journalAppend(persist.Record{
-		Type: persist.TFeedback, Session: sess.id, Text: req.Text,
-		Highlight: req.Highlight, HighlightStart: hlStart,
-	}); err != nil {
-		if !isReplicationError(err) {
-			s.dropDiverged(sess)
-		}
-		httpError(w, http.StatusInternalServerError, "journal: "+err.Error())
-		return
-	}
-	body, err := s.renderAnswer(tr, ans)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode response: "+err.Error())
-		return
-	}
-	// The feedback event (mirroring the journaled record) precedes the
-	// corrected turn's answer events in the same atomic batch.
-	fb := feedbackPayload(req.Text, req.Highlight, hlStart)
-	s.publishAnswer(sess.id, &fb, ans, body)
 	writeBody(w, body)
+}
+
+// apply runs one turn record through the session's pipeline — the only
+// place a TAsk or TFeedback reaches core.Session, for live requests and
+// replay alike. The caller holds sess.mu. A feedback highlight is resolved
+// here, against the current SQL: an explicit HighlightStart must point at an
+// exact occurrence (first-occurrence matching would silently pick the wrong
+// one of a repeated span), and -1 with a highlight means the first
+// occurrence. The returned record carries the resolved offset; that is what
+// the journal stores, so replay reconstructs the exact grounding. On error,
+// the int is the status the request answers.
+func (s *Server) apply(ctx context.Context, sess *session, rec persist.Record) (persist.Record, *assistant.Answer, int, error) {
+	if rec.Type == persist.TAsk {
+		ans, err := sess.sess.Ask(ctx, rec.Text)
+		return rec, ans, http.StatusInternalServerError, err
+	}
+	var hl *feedback.Highlight
+	if rec.Highlight == "" {
+		rec.HighlightStart = -1
+	} else {
+		sqlText, o := sess.sess.SQL(), rec.HighlightStart
+		switch {
+		case o < 0:
+			if o = strings.Index(sqlText, rec.Highlight); o < 0 {
+				// Silently dropping the highlight would let the client
+				// believe its grounding was used.
+				return rec, nil, http.StatusBadRequest,
+					fmt.Errorf("highlight %q does not occur in the current SQL", rec.Highlight)
+			}
+		case o > len(sqlText)-len(rec.Highlight) || sqlText[o:o+len(rec.Highlight)] != rec.Highlight:
+			return rec, nil, http.StatusBadRequest, offsetMismatch(rec.Highlight, o)
+		}
+		rec.HighlightStart = o
+		hl = &feedback.Highlight{Start: o, End: o + len(rec.Highlight), Text: rec.Highlight}
+	}
+	ans, err := sess.sess.Feedback(ctx, rec.Text, hl)
+	return rec, ans, http.StatusInternalServerError, err
+}
+
+func offsetMismatch(highlight string, offset int) error {
+	return fmt.Errorf("highlight %q does not occur at byte offset %d of the current SQL", highlight, offset)
+}
+
+// commit makes an applied turn durable, then visible: the record is
+// journaled and replicated (journalAppend), then the answer is rendered and
+// the turn published to the session's /events topic. The caller holds
+// sess.mu, so the journal's per-session record order is the history order.
+//
+// A failed local append evicts the session: its live state holds a turn the
+// journal never captured, and keeping it would serve — and let a retry of
+// the 500 double-apply — that turn. The session answers 404/410 until
+// recreated; the removal hook journals the delete best effort. A failed
+// replication evicts nothing: the turn is locally durable and is published
+// like any committed turn, so the event stream keeps following the history
+// replay rebuilds; only the response reports the error. body, events and
+// seq are the rendered answer, the turn's published events and the done
+// event's sequence number.
+func (s *Server) commit(tr *obs.Trace, sess *session, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64, err error) {
+	jerr := s.journalAppend(rec)
+	if jerr != nil && !isReplicationError(jerr) {
+		s.store.remove(sess.id)
+		return nil, nil, 0, fmt.Errorf("journal: %w", jerr)
+	}
+	if body, events, seq, err = s.publishTurn(tr, rec, ans); err == nil && jerr != nil {
+		err = fmt.Errorf("journal: %w", jerr)
+	}
+	return body, events, seq, err
+}
+
+// publishTurn is commit's second half, and all of it that replay runs: a
+// replayed record is already journaled. It renders the answer and publishes
+// the turn.
+func (s *Server) publishTurn(tr *obs.Trace, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64, err error) {
+	if body, err = s.renderAnswer(tr, ans); err != nil {
+		return nil, nil, 0, fmt.Errorf("encode response: %w", err)
+	}
+	events, seq = s.publishAnswer(rec, ans, body)
+	return body, events, seq, nil
 }
 
 type historyTurn struct {

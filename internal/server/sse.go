@@ -10,41 +10,39 @@
 //	event: result        data: {"columns": [...], "rows": [...]} | {"error": ...}
 //	event: done          data: <the complete answer JSON>
 //
-// The done payload is the exact byte sequence a non-streaming ask would
-// have received as its response body (minus the body's trailing newline,
-// which SSE framing cannot carry) — rendered once and shared through the
-// same wire cache, so the two forms can never drift. Stage events stream
-// live while the pipeline computes; when a memoized Answer (or a
-// singleflight share) skips the pipeline, the missing stages are
-// synthesized from the finished Answer before done, so the event sequence
-// is always complete: open, sql, explanation, result, done. The open event
-// commits the stream before the pipeline runs, so once a client has opted
-// into SSE, every outcome — including a generation failure that fires no
-// stage at all — arrives as a well-formed event stream.
+// The stream is only a writer: the turn runs the same apply → commit path
+// as a plain ask (server.go), with the stream attached to the pipeline. The
+// done payload is the exact byte sequence a non-streaming ask would have
+// received as its response body (minus the body's trailing newline, which
+// SSE framing cannot carry) — rendered once and shared through the same
+// wire cache, so the two forms can never drift. Stage events stream live
+// while the pipeline computes; when a memoized Answer (or a singleflight
+// share) skips the pipeline, the missing stages are taken from the turn's
+// published /events payloads before done, so the event sequence is always
+// complete: open, sql, explanation, result, done. The open event commits
+// the stream before apply runs, so once a client has opted into SSE, every
+// outcome — including a generation failure that fires no stage at all —
+// arrives as a well-formed event stream.
 //
-// A pipeline or journal failure after the stream has started is delivered
-// as a terminal "error" event ({"error": ...}); the session and journal are
-// left exactly as a failed non-streaming ask would leave them (no history
-// turn, no journal record — or, on a journal append failure, the session
-// evicted). The ask is journaled exactly once, at the same point as the
-// non-streaming path: after pipeline success, before done.
+// A pipeline or commit failure after the stream has started is delivered
+// as a terminal "error" event ({"error": ...}); the session, journal and
+// /events topic are left exactly as a failed non-streaming ask leaves them.
 //
 // Every payload is a single line (JSON escaping keeps newlines out), so
 // each event is one "data:" line and reconstruction is trivial.
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"fisql/internal/assistant"
 	"fisql/internal/engine"
 	"fisql/internal/obs"
 	"fisql/internal/persist"
+	"fisql/internal/pubsub"
 	"fisql/internal/sqlast"
 )
 
@@ -63,40 +61,15 @@ func wantsSSE(r *http.Request) bool {
 // case: RFC 9110 media types are case-insensitive, so "Text/Event-Stream"
 // must opt in exactly as "text/event-stream" does.
 func containsToken(header, token string) bool {
-	for len(header) > 0 {
-		item := header
-		if i := indexByte(header, ','); i >= 0 {
-			item, header = header[:i], header[i+1:]
-		} else {
-			header = ""
-		}
-		if i := indexByte(item, ';'); i >= 0 {
-			item = item[:i]
-		}
-		if strings.EqualFold(trimSpaces(item), token) {
+	for header != "" {
+		var item string
+		item, header, _ = strings.Cut(header, ",")
+		item, _, _ = strings.Cut(item, ";")
+		if strings.EqualFold(strings.Trim(item, " \t"), token) {
 			return true
 		}
 	}
 	return false
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-func trimSpaces(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // Stage payload wire forms. resultJSON doubles as the error carrier to
@@ -158,23 +131,11 @@ func (st *sseStream) eventID(name string, data []byte, seq uint64) {
 		st.w.WriteHeader(http.StatusOK)
 		st.started = true
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if seq > 0 {
-		buf.WriteString("id: ")
-		buf.WriteString(strconv.FormatUint(seq, 10))
-		buf.WriteByte('\n')
-	}
-	buf.WriteString("event: ")
-	buf.WriteString(name)
-	buf.WriteString("\ndata: ")
-	buf.Write(data)
-	buf.WriteString("\n\n")
-	if _, err := st.w.Write(buf.Bytes()); err != nil {
+	if !writeSSE(st.w, seq, name, data) {
 		st.failed = true
+		return
 	}
-	bufPool.Put(buf)
-	if st.f != nil && !st.failed {
+	if st.f != nil {
 		st.f.Flush()
 	}
 }
@@ -231,71 +192,41 @@ func (st *sseStream) OnResult(res *engine.Result, execErr error) {
 	st.jsonEvent("result", ev)
 }
 
-// fail terminates the stream: an "error" event if the response has
-// started, a regular JSON error response otherwise.
-func (st *sseStream) fail(code int, msg string) {
-	if st.started {
-		st.jsonEvent("error", map[string]string{"error": msg})
-		return
+// finish ends the stream of a committed ask. events are the turn's
+// published payloads (sql, explanation, result, done): any stage the live
+// pipeline skipped (memo hit, singleflight share) is emitted in pipeline
+// order from those already-marshalled bytes, then done, carrying the turn's
+// fanout sequence number so the client can hand off to a resumable /events
+// subscription without a gap.
+func (st *sseStream) finish(events []pubsub.Payload, seq uint64) {
+	for i, sent := range [...]bool{st.sentSQL, st.sentExp, st.sentRes} {
+		if !sent {
+			st.event(events[i].Type, events[i].Data)
+		}
 	}
-	httpError(st.w, code, msg)
+	st.eventID(events[3].Type, events[3].Data, seq)
 }
 
-// synthesize emits any stage event the live pipeline skipped (memo hit,
-// singleflight share), in pipeline order, from the finished Answer.
-func (st *sseStream) synthesize(ans *assistant.Answer) {
-	if !st.sentSQL {
-		st.OnSQL(ans.SQL)
-	}
-	if !st.sentExp {
-		st.OnExplanation(ans.Reformulation, ans.Explanation, ans.Spans)
-	}
-	if !st.sentRes {
-		st.OnResult(ans.Result, ans.ExecErr)
-	}
-}
-
-// streamAsk is handleAsk's streaming tail: the caller has validated the
-// request, verified the connection can actually stream (fl is the real
-// Flusher behind w — see flusherOf), acquired admission and the session
-// lock, and built the traced context. The ask is journaled at the same
-// point as the non-streaming path.
+// streamAsk runs an ask turn with its stages streamed: the caller (serveTurn)
+// has acquired admission and the session lock and verified the connection
+// can actually stream (fl is the real Flusher behind w — see flusherOf).
 func (s *Server) streamAsk(ctx context.Context, w http.ResponseWriter, fl http.Flusher,
-	tr *obs.Trace, sess *session, question string) {
+	tr *obs.Trace, sess *session, rec persist.Record) {
 	st := &sseStream{w: w, f: fl}
 	// Commit the stream before the pipeline runs: from here every outcome —
 	// including failure — is delivered as events, so the client always
 	// parses one well-formed stream.
 	st.event("open", []byte("{}"))
-	ans, err := sess.sess.Ask(assistant.WithStream(ctx, st), question)
+	rec, ans, _, err := s.apply(assistant.WithStream(ctx, st), sess, rec)
+	var events []pubsub.Payload
+	var seq uint64
+	if err == nil {
+		_, events, seq, err = s.commit(tr, sess, rec, ans)
+	}
 	if err != nil {
-		st.fail(http.StatusInternalServerError, err.Error())
+		st.event("error", mustErrorJSON(err.Error()))
 		return
 	}
-	if err := s.journalAppend(persist.Record{
-		Type: persist.TAsk, Session: sess.id, Text: question,
-	}); err != nil {
-		if !isReplicationError(err) {
-			s.dropDiverged(sess)
-		}
-		st.fail(http.StatusInternalServerError, "journal: "+err.Error())
-		return
-	}
-	body, err := s.renderAnswer(tr, ans)
-	if err != nil {
-		st.fail(http.StatusInternalServerError, "encode response: "+err.Error())
-		return
-	}
-	// Acknowledged: fan the turn out to /events subscribers as one atomic
-	// batch. The private stream's stage events above were live
-	// (pre-acknowledgment, so they carry no sequence number); the done event
-	// carries the turn's fanout sequence number, letting this client hand
-	// off to a resumable /events subscription without a gap.
-	seq := s.publishAnswer(sess.id, nil, ans, body)
-	st.synthesize(ans)
-	// The rendered body is "{...}\n"; SSE data cannot frame the trailing
-	// newline, so done carries the line itself — append '\n' to recover the
-	// exact non-streamed body.
-	st.eventID("done", body[:len(body)-1], seq)
+	st.finish(events, seq)
 	s.sseStreams.Inc()
 }
