@@ -36,6 +36,19 @@ const (
 	kindOther
 )
 
+// domain is the keyDomain of the column's non-NULL values.
+func (k colKind) domain() keyDomain {
+	switch k {
+	case kindEmpty:
+		return domNone
+	case kindInt, kindFloat, kindNum:
+		return domNum
+	case kindString:
+		return domText
+	}
+	return domMixed
+}
+
 // colData is one column's typed projection.
 type colData struct {
 	kind colKind

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -378,22 +377,17 @@ func (ex *Executor) nestedJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jC
 // with a column of the newly joined source, (b) every conjunct is free of
 // runtime errors by construction (so skipping its evaluation for pairs the
 // hash table filters out cannot suppress an error the nested loop would
-// raise), and (c) the key columns' non-NULL values are all numeric or all
-// text on both sides. Condition (c) matters because Compare's equality is
-// not transitive across types — Text("5") equals Int(5) and Bool(true)
-// equals both Int(1) and Text("true") — so a string hash key is only
-// faithful on a homogeneous domain: numbers hash by their float64 rendering
-// (Compare treats int/float numerically) and text hashes by the exact string
-// (case-insensitive compare plus exact tiebreak makes text equality exact
-// string equality). Anything else bails to the nested loop.
+// raise), and (c) the key columns' non-NULL values form one hashable
+// keyDomain across both sides: the join equivalence (key.go) has a hash
+// only there. Anything else bails to the nested loop.
 
 // equiJoinSpec describes one hashable equality conjunct of a JOIN ON plus
 // the remaining (residual) conjuncts evaluated per candidate pair.
 type equiJoinSpec struct {
 	leftBinding int // key column on the accumulated left side...
 	leftCol     int
-	rightCol    int  // ...equated with this column of the new source
-	numeric     bool // key domain: numeric (int/float) vs text
+	rightCol    int       // ...equated with this column of the new source
+	dom         keyDomain // the key columns' domain
 	residual    []sqlast.Expr
 }
 
@@ -542,48 +536,22 @@ func (ex *Executor) equiJoinSpec(envs []*rowEnv, j *sqlast.Join, jAlias string, 
 	}
 	spec.residual = append(conjs[:keyIdx:keyIdx], conjs[keyIdx+1:]...)
 
-	// Verify the key domain is homogeneous (all numeric or all text across
-	// both sides' non-NULL values); Bool or a mixed domain bails out.
-	dom := domNone
+	// Both sides' non-NULL keys must share a domain with a hash (or all be
+	// NULL, which matches nothing); a mixed domain bails out.
 	for _, le := range envs {
-		if dom = dom.with(le.bindings[spec.leftBinding].vals[spec.leftCol]); dom == domMixed {
+		if spec.dom = spec.dom.with(le.bindings[spec.leftBinding].vals[spec.leftCol]); spec.dom == domMixed {
 			return nil, false
 		}
 	}
 	for _, r := range jRows {
-		if dom = dom.with(r[spec.rightCol]); dom == domMixed {
+		if spec.dom = spec.dom.with(r[spec.rightCol]); spec.dom == domMixed {
 			return nil, false
 		}
 	}
-	spec.numeric = dom == domNum
 	return spec, true
 }
 
-// joinKey is a typed hash-join key. On a homogeneous numeric domain two
-// values Compare-equal exactly when their float64 renderings are equal, so
-// the key is the float's bit pattern (-0.0 folded into 0 so the two zeros
-// collide); on a text domain equality is exact string equality, so the key
-// is the raw string. A typed key avoids the strconv.FormatFloat allocation
-// the previous string key paid per probe/build row.
-type joinKey struct {
-	f uint64
-	s string
-}
-
-// makeJoinKey builds the hash key for one value. Numeric keys collapse
-// int/float the way Compare does.
-func makeJoinKey(v Value, numeric bool) joinKey {
-	if numeric {
-		f, _ := v.AsFloat()
-		if f == 0 {
-			f = 0
-		}
-		return joinKey{f: math.Float64bits(f)}
-	}
-	return joinKey{s: v.S}
-}
-
-// hashJoin executes the join described by spec, building a hash table on the
+// hashJoin executes the join described by spec, building an eqTable on the
 // smaller side. Emission order is left-major regardless of build side: when
 // the left side is the build side, right-row matches are accumulated per
 // left row first. done=false (with nil error) means the accumulation grew
@@ -593,52 +561,31 @@ func (ex *Executor) hashJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jCol
 	leftKey := func(le *rowEnv) Value { return le.bindings[spec.leftBinding].vals[spec.leftCol] }
 
 	// probe yields the candidate right-row indices for one left row, in
-	// right-source order. NULL keys never match (Compare-equality with NULL
-	// is unknown), so they are skipped on both sides.
-	var probe func(li int, le *rowEnv) []int
+	// right-source order.
+	var probe func(li int, le *rowEnv) []int32
 	if len(jRows) <= len(envs) {
-		ht := make(map[joinKey][]int, len(jRows))
+		ht := newEqTable(spec.dom, len(jRows))
 		for ri, r := range jRows {
-			v := r[spec.rightCol]
-			if v.IsNull() {
-				continue
-			}
-			k := makeJoinKey(v, spec.numeric)
-			ht[k] = append(ht[k], ri)
+			ht.add(r[spec.rightCol], int32(ri))
 		}
-		probe = func(_ int, le *rowEnv) []int {
-			v := leftKey(le)
-			if v.IsNull() {
-				return nil
-			}
-			return ht[makeJoinKey(v, spec.numeric)]
-		}
+		probe = func(_ int, le *rowEnv) []int32 { return ht.match(leftKey(le)) }
 	} else {
-		ht := make(map[joinKey][]int, len(envs))
+		ht := newEqTable(spec.dom, len(envs))
 		for li, le := range envs {
-			v := leftKey(le)
-			if v.IsNull() {
-				continue
-			}
-			k := makeJoinKey(v, spec.numeric)
-			ht[k] = append(ht[k], li)
+			ht.add(leftKey(le), int32(li))
 		}
-		lists := make([][]int, len(envs))
+		lists := make([][]int32, len(envs))
 		total := 0
 		for ri, r := range jRows {
-			v := r[spec.rightCol]
-			if v.IsNull() {
-				continue
-			}
-			for _, li := range ht[makeJoinKey(v, spec.numeric)] {
-				lists[li] = append(lists[li], ri)
+			for _, li := range ht.match(r[spec.rightCol]) {
+				lists[li] = append(lists[li], int32(ri))
 				total++
 				if total > ex.maxRows {
 					return nil, false, nil
 				}
 			}
 		}
-		probe = func(li int, _ *rowEnv) []int { return lists[li] }
+		probe = func(li int, _ *rowEnv) []int32 { return lists[li] }
 	}
 
 	joined := make([]*rowEnv, 0, len(envs))
@@ -1283,8 +1230,7 @@ func foldAggregate(x *sqlast.FuncCall, rows int, arg func(i int) (Value, error))
 	// SUM/AVG non-numeric error is deferred until after the loop because
 	// the two-pass version it replaces reported evaluation errors from
 	// later rows ahead of it.
-	var seen map[string]bool
-	var kb []byte
+	var seen keyIndex
 	n := 0
 	sum := 0.0
 	allInt := true
@@ -1299,14 +1245,9 @@ func foldAggregate(x *sqlast.FuncCall, rows int, arg func(i int) (Value, error))
 			continue
 		}
 		if x.Distinct {
-			if seen == nil {
-				seen = map[string]bool{}
-			}
-			kb = v.appendKey(kb[:0])
-			if seen[string(kb)] {
+			if _, isNew := seen.id1(v); !isNew {
 				continue
 			}
-			seen[string(kb)] = true
 		}
 		n++
 		switch x.Name {
@@ -1487,30 +1428,16 @@ func combineSetOp(op sqlast.SetOp, a, b [][]Value) [][]Value {
 	switch op {
 	case sqlast.SetUnion, sqlast.SetUnionAll:
 		return append(a, b...)
-	case sqlast.SetIntersect:
-		keys := map[string]bool{}
-		var kb []byte
+	case sqlast.SetIntersect, sqlast.SetExcept:
+		// A row of a is in b iff its key was numbered while indexing b.
+		idx := keyIndex{hint: len(b)}
 		for _, r := range b {
-			keys[rowKey(r)] = true
+			idx.id(r)
 		}
+		inB := idx.n
 		var out [][]Value
 		for _, r := range a {
-			kb = rowKeyAppend(kb[:0], r)
-			if keys[string(kb)] {
-				out = append(out, r)
-			}
-		}
-		return out
-	case sqlast.SetExcept:
-		keys := map[string]bool{}
-		var kb []byte
-		for _, r := range b {
-			keys[rowKey(r)] = true
-		}
-		var out [][]Value
-		for _, r := range a {
-			kb = rowKeyAppend(kb[:0], r)
-			if !keys[string(kb)] {
+			if k, _ := idx.id(r); (k < inB) == (op == sqlast.SetIntersect) {
 				out = append(out, r)
 			}
 		}
@@ -1522,15 +1449,12 @@ func combineSetOp(op sqlast.SetOp, a, b [][]Value) [][]Value {
 // dedupeRows drops, in place, every row equal to an earlier one, keeping src
 // (when set) parallel to the rows.
 func dedupeRows(rows [][]Value, src []int32) ([][]Value, []int32) {
-	seen := make(map[string]bool, len(rows))
+	idx := keyIndex{hint: len(rows)}
 	kept := 0
-	var kb []byte
 	for i, r := range rows {
-		kb = rowKeyAppend(kb[:0], r)
-		if seen[string(kb)] {
+		if _, isNew := idx.id(r); !isNew {
 			continue
 		}
-		seen[string(kb)] = true
 		rows[kept] = r
 		if src != nil {
 			src[kept] = src[i]
@@ -1625,22 +1549,18 @@ func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) (candidate
 		return candidates{envs: []*rowEnv{rep}, ctxs: []evalCtx{{group: envs}}}, nil
 	}
 	var c candidates
-	index := map[string]int{}
-	var kb []byte
+	var idx keyIndex
+	key := make([]Value, len(sel.GroupBy))
 	for _, env := range envs {
-		kb = kb[:0]
-		for _, g := range sel.GroupBy {
+		for k, g := range sel.GroupBy {
 			v, err := ex.eval(g, env, nil)
 			if err != nil {
 				return candidates{}, err
 			}
-			kb = v.appendKey(kb)
-			kb = append(kb, '\x1f')
+			key[k] = v
 		}
-		gi, ok := index[string(kb)]
-		if !ok {
-			gi = len(c.envs)
-			index[string(kb)] = gi
+		gi, isNew := idx.id(key)
+		if isNew {
 			c.envs = append(c.envs, env)
 			c.ctxs = append(c.ctxs, evalCtx{})
 		}

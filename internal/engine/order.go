@@ -162,8 +162,8 @@ type orderCol struct {
 // column's non-NULL keys lie in one domain on which Compare is a total
 // preorder: all numeric (int / float / bool, NaN excluded — it compares
 // equal to every number) or all text. The gate is the hash join's (see
-// joinKey) except that bool counts as a number, which is how Compare orders
-// it against the only types a numeric column lets it meet.
+// keyDomain) except that bool counts as a number, which is how Compare
+// orders it against the only types a numeric column lets it meet.
 func typedOrderCols(order []sqlast.OrderItem, keys []Value, n int) []orderCol {
 	cols := make([]orderCol, len(order))
 	for k := range cols {

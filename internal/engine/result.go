@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Result is the output of executing a SELECT.
 type Result struct {
@@ -14,42 +11,13 @@ type Result struct {
 	Ordered bool
 }
 
-// rowKey renders one row as a canonical string.
-func rowKey(row []Value) string { return string(rowKeyAppend(nil, row)) }
-
-// rowKeyAppend appends the row's dedup key to dst; callers that key many
-// rows reuse one buffer and use map lookups on string(buf), which Go
-// performs without allocating.
-func rowKeyAppend(dst []byte, row []Value) []byte {
-	for i, v := range row {
-		if i > 0 {
-			dst = append(dst, '\x1f')
-		}
-		dst = v.appendKey(dst)
-	}
-	return dst
-}
-
-// Fingerprint returns a canonical rendering of the result's data: ordered
-// rows joined in order, unordered rows joined after sorting. Column names
-// are excluded — execution-accuracy compares data, not header spelling.
-func (r *Result) Fingerprint() string {
-	keys := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		keys[i] = rowKey(row)
-	}
-	if !r.Ordered {
-		sort.Strings(keys)
-	}
-	return strings.Join(keys, "\x1e")
-}
-
 // EqualResults implements the execution-match metric: identical column
-// count, identical row multiset — compared in order as soon as either side
-// imposed an ORDER BY. The asymmetric case matters: a prediction that drops
-// the gold query's ORDER BY must count as wrong, exactly as in SPIDER-style
-// execution-accuracy harnesses. Engine row order is deterministic, so the
-// comparison is well-defined for the unordered side too.
+// count, identical row multiset under the grouping equivalence (key.go) —
+// compared in order as soon as either side imposed an ORDER BY. The
+// asymmetric case matters: a prediction that drops the gold query's ORDER BY
+// must count as wrong, exactly as in SPIDER-style execution-accuracy
+// harnesses. Column names are excluded: execution accuracy compares data,
+// not header spelling.
 func EqualResults(a, b *Result) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -57,24 +25,33 @@ func EqualResults(a, b *Result) bool {
 	if len(a.Columns) != len(b.Columns) || len(a.Rows) != len(b.Rows) {
 		return false
 	}
-	ordered := a.Ordered || b.Ordered
-	ka := make([]string, len(a.Rows))
-	kb := make([]string, len(b.Rows))
-	for i := range a.Rows {
-		ka[i] = rowKey(a.Rows[i])
-		kb[i] = rowKey(b.Rows[i])
+	idx := keyIndex{hint: len(a.Rows)}
+	if a.Ordered || b.Ordered {
+		for i := range a.Rows {
+			ka, _ := idx.id(a.Rows[i])
+			if kb, _ := idx.id(b.Rows[i]); kb != ka {
+				return false
+			}
+		}
+		return true
 	}
-	if !ordered {
-		sort.Strings(ka)
-		sort.Strings(kb)
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
+	// Multiset: count a's keys up and b's down. The row counts are equal, so
+	// no count going below zero means every count ends at zero.
+	var count []int32
+	for _, r := range a.Rows {
+		if k, isNew := idx.id(r); isNew {
+			count = append(count, 1)
+		} else {
+			count[k]++
 		}
 	}
-	// If exactly one side imposed an order, the multiset comparison above
-	// is the fair one (the unordered side may legally return any order).
+	for _, r := range b.Rows {
+		k, isNew := idx.id(r)
+		if isNew || count[k] == 0 {
+			return false
+		}
+		count[k]--
+	}
 	return true
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,16 +87,30 @@ func TestEqualResultsNil(t *testing.T) {
 	}
 }
 
-func TestFingerprintStability(t *testing.T) {
-	a := res(false, []Value{Int(2)}, []Value{Int(1)})
-	b := res(false, []Value{Int(1)}, []Value{Int(2)})
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("unordered fingerprint should be order-independent")
-	}
-	c := res(true, []Value{Int(2)}, []Value{Int(1)})
-	d := res(true, []Value{Int(1)}, []Value{Int(2)})
-	if c.Fingerprint() == d.Fingerprint() {
-		t.Error("ordered fingerprint should be order-dependent")
+// TestEqualResultsGroupingEquivalence pins the row equality EqualResults
+// compares under: ints, bools and integral floats collapse, NULL equals
+// NULL, NaNs are one value, text is case-sensitive, and rows whose text holds
+// what an unframed key would use as a separator stay apart.
+func TestEqualResultsGroupingEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		a, b []Value
+		want bool
+	}{
+		{[]Value{Int(1), Null()}, []Value{Bool(true), Null()}, true},
+		{[]Value{Float(math.Copysign(0, -1))}, []Value{Int(0)}, true},
+		{[]Value{Float(math.NaN())}, []Value{Float(-math.NaN())}, true},
+		{[]Value{Int(1 << 53)}, []Value{Int(1<<53 + 1)}, false},
+		{[]Value{Float(0x1p63)}, []Value{Int(math.MaxInt64)}, false},
+		{[]Value{Text("a")}, []Value{Text("A")}, false},
+		{[]Value{Text("1")}, []Value{Int(1)}, false},
+		{[]Value{Text("a\x1fsc"), Text("b")}, []Value{Text("a"), Text("c\x1fsb")}, false},
+		{[]Value{Text("s1:a")}, []Value{Text("a")}, false},
+	} {
+		for _, ordered := range []bool{false, true} {
+			if got := EqualResults(res(ordered, tc.a), res(ordered, tc.b)); got != tc.want {
+				t.Errorf("ordered=%v: EqualResults(%v, %v) = %v, want %v", ordered, tc.a, tc.b, got, tc.want)
+			}
+		}
 	}
 }
 

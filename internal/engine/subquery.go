@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"fisql/internal/sqlast"
-)
+import "fisql/internal/sqlast"
 
 // This file is the run-time half of statement-invariant subquery execution.
 // The planner (plan.go) classifies every scalar, EXISTS and IN subquery — and
@@ -114,50 +110,12 @@ func (ex *Executor) endRun() {
 // ----------------------------------------------------------------------------
 // IN candidate sets
 
-// keyDomain is the type domain of a set of values that are to be matched
-// through joinKey. A hash key is only faithful to Compare-equality on a
-// homogeneous domain (see the hash equi-join commentary in exec.go).
-type keyDomain uint8
-
-const (
-	domNone  keyDomain = iota // no non-NULL value seen
-	domNum                    // int and float
-	domText                   // text
-	domMixed                  // anything else: not hashable
-)
-
-// with widens d to cover v. NULLs never match and leave d alone. Bool
-// equates with both numbers and text, and NaN compares equal to every
-// number, so either makes the domain mixed.
-func (d keyDomain) with(v Value) keyDomain {
-	var dv keyDomain
-	switch v.T {
-	case TypeNull:
-		return d
-	case TypeInt:
-		dv = domNum
-	case TypeFloat:
-		if math.IsNaN(v.F) {
-			return domMixed
-		}
-		dv = domNum
-	case TypeText:
-		dv = domText
-	default:
-		return domMixed
-	}
-	if d == domNone || d == dv {
-		return dv
-	}
-	return domMixed
-}
-
 // inSet is the candidate column of a closed IN subquery, kept for the Run.
 type inSet struct {
 	rows    [][]Value // the subquery's one-column result rows
 	sawNull bool
 	dom     keyDomain
-	keys    map[joinKey]struct{} // non-NULL candidates; nil when dom is mixed
+	keys    eqTable // the candidates when dom is hashable
 }
 
 func newInSet(rows [][]Value) *inSet {
@@ -168,12 +126,10 @@ func newInSet(rows [][]Value) *inSet {
 			s.sawNull = true
 		}
 	}
-	if s.dom == domNum || s.dom == domText {
-		s.keys = make(map[joinKey]struct{}, len(rows))
-		for _, r := range rows {
-			if !r[0].IsNull() {
-				s.keys[makeJoinKey(r[0], s.dom == domNum)] = struct{}{}
-			}
+	if s.dom.hashable() {
+		s.keys = newEqTable(s.dom, len(rows))
+		for i, r := range rows {
+			s.keys.add(r[0], int32(i))
 		}
 	}
 	return s
@@ -186,9 +142,8 @@ func (s *inSet) contains(v Value) bool {
 	if s.dom == domNone {
 		return false
 	}
-	if s.keys != nil && s.dom.with(v) == s.dom {
-		_, ok := s.keys[makeJoinKey(v, s.dom == domNum)]
-		return ok
+	if s.dom.hashable() && s.dom.with(v) == s.dom {
+		return len(s.keys.match(v)) > 0
 	}
 	for _, r := range s.rows {
 		if eq, known := Equal(v, r[0]); known && eq {

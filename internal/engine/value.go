@@ -117,35 +117,10 @@ func (v Value) String() string {
 	return "?value?"
 }
 
-// Key renders the value as a canonical map key. Integers and integral floats
-// collapse to the same key so that e.g. COUNT results compare equal across
-// numeric types.
+// Key renders the value as a canonical map key under the grouping
+// equivalence (key.go): integers, bools and integral floats collapse to the
+// same key so that e.g. COUNT results compare equal across numeric types.
 func (v Value) Key() string { return string(v.appendKey(nil)) }
-
-// appendKey appends the exact bytes Key returns to dst, letting hot dedup
-// and grouping loops reuse one scratch buffer instead of allocating a
-// string per value.
-func (v Value) appendKey(dst []byte) []byte {
-	switch v.T {
-	case TypeNull:
-		return append(dst, "\x00N"...)
-	case TypeInt:
-		return strconv.AppendInt(append(dst, '#'), v.I, 10)
-	case TypeFloat:
-		if v.F == float64(int64(v.F)) {
-			return strconv.AppendInt(append(dst, '#'), int64(v.F), 10)
-		}
-		return strconv.AppendFloat(append(dst, '#'), v.F, 'g', -1, 64)
-	case TypeText:
-		return append(append(dst, 's'), v.S...)
-	case TypeBool:
-		if v.B {
-			return append(dst, "#1"...)
-		}
-		return append(dst, "#0"...)
-	}
-	return append(dst, '?')
-}
 
 // Compare orders two values: -1, 0, +1. NULL sorts before everything.
 // Numeric types compare numerically across int/float/bool; text compares

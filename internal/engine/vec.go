@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"strings"
 
 	"fisql/internal/sqlast"
@@ -17,8 +16,8 @@ import (
 // environments the row path itself would use: the shared scan environments
 // of a single table, or a scratch environment over each (left, right) pair
 // of a join. Output rows are thus gathered from Table.Rows by the row path's
-// own code; the typed column arrays (columnar.go) feed only masks, group
-// keys and folds.
+// own code; the typed column arrays (columnar.go) feed only masks and folds,
+// and their kinds give the join keys' domain.
 //
 // Results are byte-identical by construction. The vectorized stages succeed
 // only where the row stages succeed with the same selection and the same
@@ -27,8 +26,8 @@ import (
 // attempt before the tail and reruns the statement on the row executor,
 // which owns those errors: a mask error (masks do not short-circuit), a
 // group-key error, a fold error (the row path folds lazily inside the tail,
-// so it may meet another error first), a join-key domain the typed hash
-// cannot represent, and a scan or join past maxRows.
+// so it may meet another error first), a join-key domain without a hash
+// (key.go), and a scan or join past maxRows.
 //
 // Plan-time qualification (buildVecPlan) is purely structural: single
 // catalog table, or exactly one INNER/LEFT hash equi-join of two catalog
@@ -272,108 +271,41 @@ func (v *vecExec) env(i int) *rowEnv {
 // buildPairs materializes the hash equi-join as (left, right) index pairs in
 // the row path's emission order: left-major, right-source order per left
 // row, LEFT JOIN null rows for matchless left rows. NULL keys never match.
-// false means bail (unsupported key domain, or result larger than maxRows —
-// the row executor owns the error/fallback semantics there).
+// false means bail (a key domain without a hash, or a result larger than
+// maxRows — the row executor owns the error/fallback semantics there).
 func (v *vecExec) buildPairs() bool {
 	vp := v.vp
-	k1 := &v.ct1.cols[vp.leftCol]
-	k2 := &v.ct2.cols[vp.rightCol]
-	nLeft := len(vp.t1.Rows)
-	leftJoin := vp.joinType == sqlast.JoinLeft
-
-	// An all-NULL key column on either side means no pair can match,
-	// whatever the other side's domain is.
-	if k1.kind == kindEmpty || k2.kind == kindEmpty {
-		if !leftJoin {
-			return true
-		}
-		if nLeft > v.ex.maxRows {
-			return false
-		}
-		v.pairs = make([]vecPair, nLeft)
-		for i := range v.pairs {
-			v.pairs[i] = vecPair{int32(i), -1}
-		}
-		return true
-	}
-
-	// The hash key is only faithful to Compare-equality on a homogeneous
-	// domain (see the hash equi-join commentary in exec.go); bool and mixed
-	// domains bail to the row executor's nested loop.
-	numericKinds := func(k colKind) bool { return k == kindInt || k == kindFloat || k == kindNum }
-	var numeric bool
+	d1 := v.ct1.cols[vp.leftCol].kind.domain()
+	d2 := v.ct2.cols[vp.rightCol].kind.domain()
+	dom := d1.merge(d2)
 	switch {
-	case numericKinds(k1.kind) && numericKinds(k2.kind):
-		numeric = true
-	case k1.kind == kindString && k2.kind == kindString:
-		numeric = false
-	default:
+	case d1 == domNone || d2 == domNone:
+		dom = domNone // an all-NULL key column matches nothing
+	case !dom.hashable():
 		return false
 	}
-
-	count := 0
-	pairs := make([]vecPair, 0, nLeft)
-	emit := func(li int, matches []int32) bool {
-		if len(matches) == 0 {
-			if leftJoin {
-				pairs = append(pairs, vecPair{int32(li), -1})
-				count++
-			}
-			return count <= v.ex.maxRows
+	var ht eqTable
+	if dom != domNone {
+		ht = newEqTable(dom, len(vp.t2.Rows))
+		for ri, r := range vp.t2.Rows {
+			ht.add(r[vp.rightCol], int32(ri))
+		}
+	}
+	leftJoin := vp.joinType == sqlast.JoinLeft
+	pairs := make([]vecPair, 0, len(vp.t1.Rows))
+	for li, r := range vp.t1.Rows {
+		var matches []int32
+		if dom != domNone {
+			matches = ht.match(r[vp.leftCol])
+		}
+		if len(matches) == 0 && leftJoin {
+			pairs = append(pairs, vecPair{int32(li), -1})
 		}
 		for _, ri := range matches {
 			pairs = append(pairs, vecPair{int32(li), ri})
-			count++
-			if count > v.ex.maxRows {
-				return false
-			}
 		}
-		return true
-	}
-
-	if numeric {
-		ht := make(map[uint64][]int32, len(vp.t2.Rows))
-		for ri := range vp.t2.Rows {
-			if k2.null(ri) {
-				continue
-			}
-			f := k2.nums[ri]
-			if f == 0 {
-				f = 0 // fold -0.0 into 0 like makeJoinKey
-			}
-			b := math.Float64bits(f)
-			ht[b] = append(ht[b], int32(ri))
-		}
-		for li := 0; li < nLeft; li++ {
-			var matches []int32
-			if !k1.null(li) {
-				f := k1.nums[li]
-				if f == 0 {
-					f = 0
-				}
-				matches = ht[math.Float64bits(f)]
-			}
-			if !emit(li, matches) {
-				return false
-			}
-		}
-	} else {
-		ht := make(map[string][]int32, len(vp.t2.Rows))
-		for ri := range vp.t2.Rows {
-			if k2.null(ri) {
-				continue
-			}
-			s := k2.strs[ri]
-			ht[s] = append(ht[s], int32(ri))
-		}
-		for li := 0; li < nLeft; li++ {
-			var matches []int32
-			if !k1.null(li) {
-				matches = ht[k1.strs[li]]
-			}
-			if !emit(li, matches) {
-				return false
-			}
+		if len(pairs) > v.ex.maxRows {
+			return false
 		}
 	}
 	v.pairs = pairs
@@ -585,8 +517,6 @@ func flipCmp(op sqlast.BinaryOp) sqlast.BinaryOp {
 	return op // Eq/Neq are symmetric
 }
 
-func isNumericKind(k colKind) bool { return k == kindInt || k == kindFloat || k == kindNum }
-
 // mask computes the truth mask of e over the scanned table.
 func (v *vecExec) mask(e sqlast.Expr) ([]int8, error) {
 	switch x := e.(type) {
@@ -669,7 +599,7 @@ func (v *vecExec) mask(e sqlast.Expr) ([]int8, error) {
 		if ci, ok := v.slotCol(x); ok {
 			c := &v.ct1.cols[ci]
 			switch {
-			case isNumericKind(c.kind):
+			case c.kind.domain() == domNum:
 				m := make([]int8, v.n)
 				for i := range m {
 					switch {
@@ -768,7 +698,7 @@ func (v *vecExec) cmpColLit(ci int, lit Value, op sqlast.BinaryOp) ([]int8, bool
 	if lit.IsNull() || c.kind == kindEmpty {
 		return fillMask(v.n, mNull), true
 	}
-	if lf, ok := lit.numeric(); ok && isNumericKind(c.kind) {
+	if lf, ok := lit.numeric(); ok && c.kind.domain() == domNum {
 		m := make([]int8, v.n)
 		for i := range m {
 			if c.null(i) {
@@ -812,7 +742,7 @@ func (v *vecExec) cmpColCol(ci, cj int, op sqlast.BinaryOp) ([]int8, bool) {
 		return fillMask(v.n, mNull), true
 	}
 	switch {
-	case isNumericKind(a.kind) && isNumericKind(b.kind):
+	case a.kind.domain() == domNum && b.kind.domain() == domNum:
 		m := make([]int8, v.n)
 		for i := range m {
 			if a.null(i) || b.null(i) {
@@ -859,7 +789,7 @@ func (v *vecExec) betweenMask(x *sqlast.BetweenExpr) ([]int8, bool, error) {
 	lf, lnum := lo.numeric()
 	hf, hnum := hi.numeric()
 	switch {
-	case isNumericKind(c.kind) && lnum && hnum:
+	case c.kind.domain() == domNum && lnum && hnum:
 		m := make([]int8, v.n)
 		for i := range m {
 			if c.null(i) {
@@ -984,9 +914,10 @@ func (v *vecExec) inMask(x *sqlast.InExpr) ([]int8, bool, error) {
 // Grouping
 
 // groupSel partitions the selected context rows by the GROUP BY key,
-// mirroring groupRows: appendKey bytes per key expression, groups in
-// first-seen order, first row as representative. rep == -1 marks the empty
-// global group.
+// mirroring groupRows: one keyIndex over the key values, groups in
+// first-seen order, first row as representative. A bare column key is
+// gathered from its slot, any other evaluated per row. rep == -1 marks the
+// empty global group.
 func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok bool) {
 	if len(v.stmt.GroupBy) == 0 {
 		rep := int32(-1)
@@ -995,87 +926,27 @@ func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok b
 		}
 		return [][]int32{selIdx}, []int32{rep}, true
 	}
-
-	// Fast path: a single bare column key over a typed column partitions
-	// identically to its appendKey bytes (the key encodings are injective
-	// per kind, and numeric map keys equate -0.0 with 0 just as appendKey
-	// renders both as "#0").
-	if v.vp.t2 == nil && len(v.stmt.GroupBy) == 1 {
-		if ci, isCol := v.slotCol(v.stmt.GroupBy[0]); isCol {
-			c := &v.ct1.cols[ci]
-			switch {
-			case isNumericKind(c.kind):
-				index := make(map[float64]int, 64)
-				nullGroup := -1
-				for _, i := range selIdx {
-					var gi int
-					if c.null(int(i)) {
-						if nullGroup < 0 {
-							nullGroup = len(groups)
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = nullGroup
-					} else {
-						f := c.nums[i]
-						g, found := index[f]
-						if !found {
-							g = len(groups)
-							index[f] = g
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = g
-					}
-					groups[gi] = append(groups[gi], i)
-				}
-				return groups, reps, true
-			case c.kind == kindString:
-				index := make(map[string]int, 64)
-				nullGroup := -1
-				for _, i := range selIdx {
-					var gi int
-					if c.null(int(i)) {
-						if nullGroup < 0 {
-							nullGroup = len(groups)
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = nullGroup
-					} else {
-						s := c.strs[i]
-						g, found := index[s]
-						if !found {
-							g = len(groups)
-							index[s] = g
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = g
-					}
-					groups[gi] = append(groups[gi], i)
-				}
-				return groups, reps, true
-			}
-		}
+	slots := make([]colSlot, len(v.stmt.GroupBy))
+	bare := make([]bool, len(v.stmt.GroupBy))
+	for k, g := range v.stmt.GroupBy {
+		slots[k], bare[k] = v.argSlot(g)
 	}
-
-	index := map[string]int{}
-	var kb []byte
+	var idx keyIndex
+	key := make([]Value, len(v.stmt.GroupBy))
 	for _, i := range selIdx {
-		kb = kb[:0]
-		for _, g := range v.stmt.GroupBy {
+		for k, g := range v.stmt.GroupBy {
+			if bare[k] {
+				key[k] = v.gatherSlot(i, slots[k])
+				continue
+			}
 			val, err := v.ex.eval(g, v.env(int(i)), nil)
 			if err != nil {
 				return nil, nil, false
 			}
-			kb = val.appendKey(kb)
-			kb = append(kb, '\x1f')
+			key[k] = val
 		}
-		gi, found := index[string(kb)]
-		if !found {
-			gi = len(groups)
-			index[string(kb)] = gi
+		gi, isNew := idx.id(key)
+		if isNew {
 			groups = append(groups, nil)
 			reps = append(reps, i)
 		}
@@ -1103,8 +974,8 @@ func (v *vecExec) gatherSlot(i int32, slot colSlot) Value {
 	return v.vp.t2.Rows[p.r][slot.col]
 }
 
-// argSlot resolves an aggregate argument as a depth-0 column reference of
-// either source.
+// argSlot resolves an aggregate argument or a group key as a depth-0 column
+// reference of either source.
 func (v *vecExec) argSlot(e sqlast.Expr) (colSlot, bool) {
 	cr, ok := e.(*sqlast.ColumnRef)
 	if !ok || v.ex.plan == nil {
@@ -1203,7 +1074,7 @@ func (v *vecExec) typedFold(name string, c *colData, ci int, group []int32) (Val
 	case "MIN", "MAX":
 		isMin := name == "MIN"
 		switch {
-		case isNumericKind(c.kind):
+		case c.kind.domain() == domNum:
 			bestIdx := int32(-1)
 			var bestF float64
 			for _, i := range group {

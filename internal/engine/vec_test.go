@@ -38,6 +38,78 @@ func runBoth(t *testing.T, db *Database, sql string) (*Result, bool) {
 	return on, true
 }
 
+// fourLegs runs sql on Run, on Run with the columnar path off, on Run with
+// the tiny-table floor removed and on the plan-less Select, requires the
+// same result from all four, and returns it.
+func fourLegs(t *testing.T, db *Database, sql string) *Result {
+	t.Helper()
+	p, err := Prepare(db, sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	off := NewExecutor(db)
+	off.SetColumnar(false)
+	unfloored := NewExecutor(db)
+	unfloored.SetColumnarMinRows(0)
+	var first *Result
+	for _, leg := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"run", func() (*Result, error) { return NewExecutor(db).Run(p) }},
+		{"columnar off", func() (*Result, error) { return off.Run(p) }},
+		{"no floor", func() (*Result, error) { return unfloored.Run(p) }},
+		{"select", func() (*Result, error) { return NewExecutor(db).Select(p.Stmt) }},
+	} {
+		res, err := leg.run()
+		switch {
+		case err != nil:
+			t.Fatalf("%s (%s): %v", sql, leg.name, err)
+		case first == nil:
+			first = res
+		case !reflect.DeepEqual(res, first):
+			t.Fatalf("%s (%s): %v, run gave %v", sql, leg.name, res.Rows, first.Rows)
+		}
+	}
+	return first
+}
+
+// TestGroupByIntegersFloat64CannotTellApart groups a key column holding
+// 2^53 and 2^53+1, which are one float64: an INT column, and a REAL column
+// mixing Int(2^53+1) with Float(2^53). Every leg must keep two groups.
+func TestGroupByIntegersFloat64CannotTellApart(t *testing.T) {
+	db := NewDatabase("g")
+	if err := db.LoadScript("CREATE TABLE g (k INT); CREATE TABLE m (k REAL);"); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := db.Table("g")
+	m, _ := db.Table("m")
+	for i := 0; i < 2*DefaultColumnarMinRows; i++ {
+		g.Rows = append(g.Rows, []Value{Int(1<<53 + int64(i%2))})
+		// DDL coerces by column type: patch an int into the REAL column.
+		mv := Float(1 << 53)
+		if i%2 == 0 {
+			mv = Int(1<<53 + 1)
+		}
+		m.Rows = append(m.Rows, []Value{mv})
+	}
+	n := Int(DefaultColumnarMinRows)
+	for tbl, want := range map[string][][]Value{
+		"g": {{Int(1 << 53), n}, {Int(1<<53 + 1), n}},
+		"m": {{Int(1<<53 + 1), n}, {Float(1 << 53), n}},
+	} {
+		sql := "SELECT k, COUNT(*) FROM " + tbl + " GROUP BY k"
+		h0, _ := db.ColumnarStats()
+		res := fourLegs(t, db, sql)
+		if h1, _ := db.ColumnarStats(); h1 != h0+2 {
+			t.Errorf("%s: %d columnar hits, want 2 (run and no floor)", sql, h1-h0)
+		}
+		if !reflect.DeepEqual(res.Rows, want) {
+			t.Errorf("%s: %v, want %v", sql, res.Rows, want)
+		}
+	}
+}
+
 func TestColumnarParity(t *testing.T) {
 	db := testDB(t)
 	queries := []string{
