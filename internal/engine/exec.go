@@ -644,12 +644,30 @@ func (ex *Executor) hashJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jCol
 // function calls evaluate over these rows instead of erroring.
 type evalCtx struct {
 	group []*rowEnv
-	// aggVals, when non-nil, supplies precomputed per-group aggregate values
-	// keyed by call node. The vectorized path folds aggregates over column
-	// arrays instead of row environments and injects the results here, so
-	// HAVING/items/ORDER BY evaluate in the shared tail. Nodes absent from
-	// the map fall through to the group fold.
-	aggVals map[*sqlast.FuncCall]Value
+	// folded, when non-nil, supplies the group's aggregate values folded
+	// ahead. The vectorized path folds aggregates over column arrays instead
+	// of row environments and hands the results over here, so
+	// HAVING/items/ORDER BY evaluate in the shared tail. Calls it does not
+	// hold fall through to the group fold.
+	folded *foldedAggs
+}
+
+// foldedAggs is one group's row of the vectorized path's aggregate slab:
+// vals[k] is the value of the call nodes[k].
+type foldedAggs struct {
+	nodes []*sqlast.FuncCall
+	vals  []Value
+}
+
+// value returns x's folded value. The scan is linear: a statement has only
+// a handful of aggregate calls.
+func (f *foldedAggs) value(x *sqlast.FuncCall) (Value, bool) {
+	for k, n := range f.nodes {
+		if n == x {
+			return f.vals[k], true
+		}
+	}
+	return Value{}, false
 }
 
 func (ex *Executor) evalBool(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (bool, error) {
@@ -1139,8 +1157,8 @@ func hasAggregate(e sqlast.Expr) bool {
 
 func (ex *Executor) evalFunc(x *sqlast.FuncCall, env *rowEnv, ctx *evalCtx) (Value, error) {
 	if isAggregateName(x.Name) {
-		if ctx != nil && ctx.aggVals != nil {
-			if v, ok := ctx.aggVals[x]; ok {
+		if ctx != nil && ctx.folded != nil {
+			if v, ok := ctx.folded.value(x); ok {
 				return v, nil
 			}
 		}
@@ -1315,11 +1333,15 @@ type candidates struct {
 	envs []*rowEnv
 	// vec, when set, replaces envs: candidate i is the vectorized attempt's
 	// context row idx[i]. A join row's environment is a scratch, valid until
-	// the next env call.
+	// the next env call. An aggregated attempt's groups are rows of vec's
+	// aggregate slab.
 	vec *vecExec
 	idx []int32
-	// ctxs holds one group context per candidate of an aggregated arm.
-	ctxs []evalCtx
+	// groups holds the rows of each candidate group of an aggregated arm on
+	// the row executor.
+	groups [][]*rowEnv
+	// scratch is the group context ctx fills, valid until the next call.
+	scratch evalCtx
 }
 
 func (c *candidates) len() int {
@@ -1337,10 +1359,15 @@ func (c *candidates) env(i int) *rowEnv {
 }
 
 func (c *candidates) ctx(i int) *evalCtx {
-	if c.ctxs == nil {
+	switch {
+	case c.groups != nil:
+		c.scratch.group = c.groups[i]
+	case c.vec != nil && c.vec.aggs != nil:
+		c.scratch.folded = c.vec.folded(i)
+	default:
 		return nil
 	}
-	return &c.ctxs[i]
+	return &c.scratch
 }
 
 func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, error) {
@@ -1354,7 +1381,7 @@ func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, 
 // finish is the SELECT tail, run over the first arm's candidates c and
 // header cols.
 func (ex *Executor) finish(sel *sqlast.SelectStmt, cols []string, c *candidates, outer *rowEnv) (*Result, error) {
-	rows, src, err := ex.project(sel, c, sel.Compound == nil && len(sel.OrderBy) > 0)
+	rows, src, slots, err := ex.project(sel, c, sel.Compound == nil && len(sel.OrderBy) > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -1368,10 +1395,11 @@ func (ex *Executor) finish(sel *sqlast.SelectStmt, cols []string, c *candidates,
 			if err != nil {
 				return nil, err
 			}
-			right, _, err := ex.project(arm.Right, &rc, false)
+			right, _, n, err := ex.project(arm.Right, &rc, false)
 			if err != nil {
 				return nil, err
 			}
+			slots += n
 			if len(rcols) != len(cols) {
 				return nil, fmt.Errorf("%s arms have %d vs %d columns", arm.Op, len(cols), len(rcols))
 			}
@@ -1391,7 +1419,33 @@ func (ex *Executor) finish(sel *sqlast.SelectStmt, cols []string, c *candidates,
 	if err := ex.limitRows(sel, res, outer); err != nil {
 		return nil, err
 	}
+	res.Rows = compactRows(res.Rows, slots)
 	return res, nil
+}
+
+// compactRows copies rows into one exact-size arena when they hold fewer
+// than half of the slots projected for them — LIMIT, DISTINCT, a set
+// operation or HAVING dropped the rest — so that a small result does not
+// keep a large arena alive. Nil rows stay nil.
+func compactRows(rows [][]Value, slots int) [][]Value {
+	if rows == nil {
+		return nil
+	}
+	kept := 0
+	for _, r := range rows {
+		kept += len(r)
+	}
+	if 2*kept >= slots {
+		return rows
+	}
+	arena := make([]Value, 0, kept)
+	out := make([][]Value, len(rows))
+	for i, r := range rows {
+		s := len(arena)
+		arena = append(arena, r...)
+		out[i] = arena[s:len(arena):len(arena)]
+	}
+	return out
 }
 
 // limitRows applies sel's LIMIT / OFFSET to res. A negative LIMIT means no
@@ -1501,32 +1555,42 @@ func (ex *Executor) gather(sel *sqlast.SelectStmt, outer *rowEnv) (candidates, [
 
 // project runs HAVING, the select list and DISTINCT over the candidates.
 // With wantSrc it also returns, for each output row, the candidate it was
-// projected from.
-func (ex *Executor) project(sel *sqlast.SelectStmt, c *candidates, wantSrc bool) (rows [][]Value, src []int32, err error) {
+// projected from. The rows are carved, capacity-clipped, from one arena
+// sized at the first row kept; slots is the arena's size in values.
+func (ex *Executor) project(sel *sqlast.SelectStmt, c *candidates, wantSrc bool) (rows [][]Value, src []int32, slots int, err error) {
 	n := c.len()
+	var arena []Value
+	var stars [][]int
 	for i := 0; i < n; i++ {
 		env, ctx := c.env(i), c.ctx(i)
 		if sel.Having != nil {
 			ok, err := ex.evalBool(sel.Having, env, ctx)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, 0, err
 			}
 			if !ok {
 				continue
 			}
 		}
-		row, err := ex.projectRow(sel, env, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
 		if rows == nil {
 			// Sized once, at the first row kept: no row, no slice.
+			stars = tableStars(sel, env)
 			rows = make([][]Value, 0, n-i)
 			if wantSrc {
 				src = make([]int32, 0, n-i)
 			}
 		}
-		rows = append(rows, row)
+		// Only a star over a derived table whose rows differ in width can
+		// make a later row wider than the first; it starts a new arena.
+		if w := rowWidth(sel, env, stars); arena == nil || cap(arena)-len(arena) < w {
+			arena = make([]Value, 0, w*(n-i))
+			slots += cap(arena)
+		}
+		s := len(arena)
+		if arena, err = ex.projectRow(arena, sel, env, ctx, stars); err != nil {
+			return nil, nil, 0, err
+		}
+		rows = append(rows, arena[s:len(arena):len(arena)])
 		if wantSrc {
 			src = append(src, int32(i))
 		}
@@ -1534,7 +1598,7 @@ func (ex *Executor) project(sel *sqlast.SelectStmt, c *candidates, wantSrc bool)
 	if sel.Distinct {
 		rows, src = dedupeRows(rows, src)
 	}
-	return rows, src, nil
+	return rows, src, slots, nil
 }
 
 // groupRows partitions envs by the GROUP BY key into groups in first-seen
@@ -1546,12 +1610,12 @@ func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) (candidate
 		if len(envs) > 0 {
 			rep = envs[0]
 		}
-		return candidates{envs: []*rowEnv{rep}, ctxs: []evalCtx{{group: envs}}}, nil
+		return candidates{envs: []*rowEnv{rep}, groups: [][]*rowEnv{envs}}, nil
 	}
-	var c candidates
 	var idx keyIndex
 	key := make([]Value, len(sel.GroupBy))
-	for _, env := range envs {
+	gid := make([]int32, len(envs))
+	for i, env := range envs {
 		for k, g := range sel.GroupBy {
 			v, err := ex.eval(g, env, nil)
 			if err != nil {
@@ -1559,35 +1623,96 @@ func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) (candidate
 			}
 			key[k] = v
 		}
-		gi, isNew := idx.id(key)
-		if isNew {
-			c.envs = append(c.envs, env)
-			c.ctxs = append(c.ctxs, evalCtx{})
-		}
-		c.ctxs[gi].group = append(c.ctxs[gi].group, env)
+		gid[i], _ = idx.id(key)
 	}
-	return c, nil
+	groups := partition(envs, gid, int(idx.n))
+	reps := make([]*rowEnv, len(groups))
+	for g, members := range groups {
+		reps[g] = members[0]
+	}
+	return candidates{envs: reps, groups: groups}, nil
 }
 
-// projectRow evaluates the select list for one row/group.
-func (ex *Executor) projectRow(sel *sqlast.SelectStmt, env *rowEnv, ctx *evalCtx) ([]Value, error) {
-	row := make([]Value, 0, len(sel.Items))
-	for _, it := range sel.Items {
+// partition splits items into the ng groups their ids gid name, keeping
+// input order within a group. Each group is a capacity-clipped window of one
+// backing slice, so a partition costs two allocations whatever ng is.
+func partition[T any](items []T, gid []int32, ng int) [][]T {
+	store := make([]T, len(items))
+	groups := make([][]T, ng)
+	// Count each group's members in its window's length, then lay the
+	// windows out back to back.
+	for _, g := range gid {
+		groups[g] = store[:len(groups[g])+1]
+	}
+	off := 0
+	for g := range groups {
+		n := len(groups[g])
+		groups[g] = store[off : off : off+n]
+		off += n
+	}
+	for i, g := range gid {
+		groups[g] = append(groups[g], items[i])
+	}
+	return groups
+}
+
+// tableStars resolves sel's t.* items against env's bindings, whose layout
+// every candidate of an arm shares: entry k lists the bindings item k
+// expands to, none when no binding carries its alias. It is nil when sel
+// has no t.* item.
+func tableStars(sel *sqlast.SelectStmt, env *rowEnv) [][]int {
+	var stars [][]int
+	for k, it := range sel.Items {
+		if it.TableStar == "" {
+			continue
+		}
+		if stars == nil {
+			stars = make([][]int, len(sel.Items))
+		}
+		alias := strings.ToLower(it.TableStar)
+		for j, b := range env.bindings {
+			if b.alias == alias {
+				stars[k] = append(stars[k], j)
+			}
+		}
+	}
+	return stars
+}
+
+// rowWidth is the number of values projectRow appends for env.
+func rowWidth(sel *sqlast.SelectStmt, env *rowEnv, stars [][]int) int {
+	w := 0
+	for k, it := range sel.Items {
+		switch {
+		case it.Star:
+			for _, b := range env.bindings {
+				w += len(b.vals)
+			}
+		case it.TableStar != "":
+			for _, j := range stars[k] {
+				w += len(env.bindings[j].vals)
+			}
+		default:
+			w++
+		}
+	}
+	return w
+}
+
+// projectRow appends the select list evaluated for one row/group to row.
+func (ex *Executor) projectRow(row []Value, sel *sqlast.SelectStmt, env *rowEnv, ctx *evalCtx, stars [][]int) ([]Value, error) {
+	for k, it := range sel.Items {
 		switch {
 		case it.Star:
 			for _, b := range env.bindings {
 				row = append(row, b.vals...)
 			}
 		case it.TableStar != "":
-			found := false
-			for _, b := range env.bindings {
-				if b.alias == strings.ToLower(it.TableStar) {
-					row = append(row, b.vals...)
-					found = true
-				}
-			}
-			if !found {
+			if len(stars[k]) == 0 {
 				return nil, fmt.Errorf("unknown table %q in %s.*", it.TableStar, it.TableStar)
+			}
+			for _, j := range stars[k] {
+				row = append(row, env.bindings[j].vals...)
 			}
 		default:
 			v, err := ex.eval(it.Expr, env, ctx)

@@ -354,34 +354,39 @@ func TestOrderStats(t *testing.T) {
 	}
 }
 
-// TestLimitOffsetBounds runs LIMIT / OFFSET values at and beyond every edge
-// through Run, Run with columnar off and Select.
+const huge = "9223372036854775807"
+
+// limitOffsetCases are LIMIT / OFFSET values at and beyond every edge, with
+// the singer ids (of 1..6 in order) each keeps.
+var limitOffsetCases = []struct {
+	clause string
+	want   []int64
+}{
+	{"LIMIT 2 OFFSET -1", []int64{1, 2}},
+	{"LIMIT 2 OFFSET (0 - 1)", []int64{1, 2}},
+	{"LIMIT 2 OFFSET -" + huge, []int64{1, 2}},
+	{"LIMIT 2 OFFSET NULL", []int64{1, 2}},
+	{"LIMIT 2 OFFSET 4", []int64{5, 6}},
+	{"LIMIT 2 OFFSET 5", []int64{6}},
+	{"LIMIT 2 OFFSET 6", nil},
+	{"LIMIT 2 OFFSET " + huge, nil},
+	{"LIMIT " + huge + " OFFSET 4", []int64{5, 6}},
+	{"LIMIT " + huge + " OFFSET " + huge, nil},
+	{"LIMIT -1", []int64{1, 2, 3, 4, 5, 6}},
+	{"LIMIT -1 OFFSET 4", []int64{5, 6}},
+	{"LIMIT (0 - 5) OFFSET -3", []int64{1, 2, 3, 4, 5, 6}},
+	{"LIMIT 0", nil},
+	{"LIMIT NULL", nil},
+	// A fractional LIMIT truncates; OFFSET reads integers only.
+	{"LIMIT 2.9", []int64{1, 2}},
+	{"LIMIT 2 OFFSET 1.5", []int64{1, 2}},
+}
+
+// TestLimitOffsetBounds runs limitOffsetCases through Run, Run with columnar
+// off and Select.
 func TestLimitOffsetBounds(t *testing.T) {
 	db := testDB(t)
-	const huge = "9223372036854775807"
-	for _, tc := range []struct {
-		clause string
-		want   []int64 // singer ids, of 1..6 in order
-	}{
-		{"LIMIT 2 OFFSET -1", []int64{1, 2}},
-		{"LIMIT 2 OFFSET (0 - 1)", []int64{1, 2}},
-		{"LIMIT 2 OFFSET -" + huge, []int64{1, 2}},
-		{"LIMIT 2 OFFSET NULL", []int64{1, 2}},
-		{"LIMIT 2 OFFSET 4", []int64{5, 6}},
-		{"LIMIT 2 OFFSET 5", []int64{6}},
-		{"LIMIT 2 OFFSET 6", nil},
-		{"LIMIT 2 OFFSET " + huge, nil},
-		{"LIMIT " + huge + " OFFSET 4", []int64{5, 6}},
-		{"LIMIT " + huge + " OFFSET " + huge, nil},
-		{"LIMIT -1", []int64{1, 2, 3, 4, 5, 6}},
-		{"LIMIT -1 OFFSET 4", []int64{5, 6}},
-		{"LIMIT (0 - 5) OFFSET -3", []int64{1, 2, 3, 4, 5, 6}},
-		{"LIMIT 0", nil},
-		{"LIMIT NULL", nil},
-		// A fractional LIMIT truncates; OFFSET reads integers only.
-		{"LIMIT 2.9", []int64{1, 2}},
-		{"LIMIT 2 OFFSET 1.5", []int64{1, 2}},
-	} {
+	for _, tc := range limitOffsetCases {
 		for _, order := range []string{"", " ORDER BY id"} {
 			sql := "SELECT id FROM singer" + order + " " + tc.clause
 			p, err := Prepare(db, sql)

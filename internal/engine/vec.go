@@ -10,8 +10,9 @@ import (
 // tries it before the row-at-a-time executor; SetColumnar(false) disables
 // it. It vectorizes the first half of a SELECT — scan, join, WHERE, GROUP BY
 // and the aggregate folds — and stops at its candidates: the selected
-// context rows, or the groups with their folded aggregates in
-// evalCtx.aggVals. The row executor's one tail (finish, exec.go) then runs
+// context rows, or the groups with their aggregates folded into one slab,
+// len(aggNodes) values per group, which evalCtx.folded exposes one group at
+// a time. The row executor's one tail (finish, exec.go) then runs
 // HAVING, the select list, DISTINCT, ORDER BY and LIMIT over the
 // environments the row path itself would use: the shared scan environments
 // of a single table, or a scratch environment over each (left, right) pair
@@ -200,6 +201,12 @@ type vecExec struct {
 	rightNulls   []Value
 	scratch      rowEnv
 	scratchBinds [2]binding
+
+	// Aggregated: the aggregate slab, group g's value of vp.aggNodes[k] at
+	// g*len(aggNodes)+k (nil when the statement has no aggregate call), and
+	// the scratch folded hands out one group at a time.
+	aggs []Value
+	fold foldedAggs
 }
 
 // runVec runs the vectorized stages of p and returns its candidates and
@@ -253,8 +260,12 @@ func (ex *Executor) runVec(p *Plan) (c candidates, cols []string, ok bool) {
 
 // env returns the evaluation environment for context row i. Single-table
 // environments are the shared scan envs; join environments reuse one
-// scratch env and are only valid until the next call.
+// scratch env and are only valid until the next call. Row -1, the
+// representative of the empty global group, has no bindings.
 func (v *vecExec) env(i int) *rowEnv {
+	if i < 0 {
+		return &rowEnv{}
+	}
 	if v.vp.t2 == nil {
 		return v.envs[i]
 	}
@@ -331,23 +342,29 @@ func (v *vecExec) run() (candidates, []string, bool) {
 	if !ok {
 		return candidates{}, nil, false
 	}
-	ctxs := make([]evalCtx, len(groups))
-	for gi, group := range groups {
-		aggVals := make(map[*sqlast.FuncCall]Value, len(v.vp.aggNodes))
-		for _, node := range v.vp.aggNodes {
-			val, err := v.aggValue(node, group)
-			if err != nil {
-				return candidates{}, nil, false
+	if nodes := v.vp.aggNodes; len(nodes) > 0 {
+		k := len(nodes)
+		v.aggs = make([]Value, len(groups)*k)
+		for g, group := range groups {
+			for j, node := range nodes {
+				val, err := v.aggValue(node, group)
+				if err != nil {
+					return candidates{}, nil, false
+				}
+				v.aggs[g*k+j] = val
 			}
-			aggVals[node] = val
 		}
-		ctxs[gi].aggVals = aggVals
+		v.fold.nodes = nodes
 	}
-	if len(reps) == 1 && reps[0] < 0 {
-		// Global aggregation over zero rows.
-		return candidates{envs: []*rowEnv{{}}, ctxs: ctxs}, cols, true
-	}
-	return candidates{vec: v, idx: reps, ctxs: ctxs}, cols, true
+	return candidates{vec: v, idx: reps}, cols, true
+}
+
+// folded returns group g's row of the aggregate slab, in a scratch valid
+// until the next call.
+func (v *vecExec) folded(g int) *foldedAggs {
+	k := len(v.fold.nodes)
+	v.fold.vals = v.aggs[g*k : (g+1)*k]
+	return &v.fold
 }
 
 // filter applies WHERE and returns the surviving context rows in order.
@@ -914,8 +931,9 @@ func (v *vecExec) inMask(x *sqlast.InExpr) ([]int8, bool, error) {
 // Grouping
 
 // groupSel partitions the selected context rows by the GROUP BY key,
-// mirroring groupRows: one keyIndex over the key values, groups in
-// first-seen order, first row as representative. A bare column key is
+// mirroring groupRows: a group id per row from one keyIndex over the key
+// values, then one partition; groups in first-seen order, first row as
+// representative. A bare column key is
 // gathered from its slot, any other evaluated per row. rep == -1 marks the
 // empty global group.
 func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok bool) {
@@ -933,7 +951,8 @@ func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok b
 	}
 	var idx keyIndex
 	key := make([]Value, len(v.stmt.GroupBy))
-	for _, i := range selIdx {
+	gid := make([]int32, len(selIdx))
+	for n, i := range selIdx {
 		for k, g := range v.stmt.GroupBy {
 			if bare[k] {
 				key[k] = v.gatherSlot(i, slots[k])
@@ -945,12 +964,12 @@ func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok b
 			}
 			key[k] = val
 		}
-		gi, isNew := idx.id(key)
-		if isNew {
-			groups = append(groups, nil)
-			reps = append(reps, i)
-		}
-		groups[gi] = append(groups[gi], i)
+		gid[n], _ = idx.id(key)
+	}
+	groups = partition(selIdx, gid, int(idx.n))
+	reps = make([]int32, len(groups))
+	for g, members := range groups {
+		reps[g] = members[0]
 	}
 	return groups, reps, true
 }

@@ -47,20 +47,8 @@ func fourLegs(t *testing.T, db *Database, sql string) *Result {
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	off := NewExecutor(db)
-	off.SetColumnar(false)
-	unfloored := NewExecutor(db)
-	unfloored.SetColumnarMinRows(0)
 	var first *Result
-	for _, leg := range []struct {
-		name string
-		run  func() (*Result, error)
-	}{
-		{"run", func() (*Result, error) { return NewExecutor(db).Run(p) }},
-		{"columnar off", func() (*Result, error) { return off.Run(p) }},
-		{"no floor", func() (*Result, error) { return unfloored.Run(p) }},
-		{"select", func() (*Result, error) { return NewExecutor(db).Select(p.Stmt) }},
-	} {
+	for _, leg := range resultLegs(db, p) {
 		res, err := leg.run()
 		switch {
 		case err != nil:
