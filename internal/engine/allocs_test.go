@@ -11,16 +11,30 @@ import (
 // allocates, so they build only without it.
 
 // allocsDB holds 8 192 rows of t (id, v, g16, g1024): g16 takes 16 values
-// and g1024 takes 1 024.
+// and g1024 takes 1 024. k16, k1024 and k8192 (id, k, s) hold that many
+// rows, each with a distinct key k in [0, n) and mixed-case text s, half of
+// it holding an X.
 func allocsDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase("allocs")
-	if err := db.LoadScript("CREATE TABLE t (id INT, v INT, g16 INT, g1024 INT);"); err != nil {
+	if err := db.LoadScript(`CREATE TABLE t (id INT, v INT, g16 INT, g1024 INT);
+CREATE TABLE k16 (id INT, k INT, s TEXT); CREATE TABLE k1024 (id INT, k INT, s TEXT);
+CREATE TABLE k8192 (id INT, k INT, s TEXT);`); err != nil {
 		t.Fatal(err)
 	}
 	tb, _ := db.Table("t")
 	for i := 0; i < 8192; i++ {
 		tb.Rows = append(tb.Rows, []Value{Int(int64(i)), Int(int64(i * 7919 % 10007)), Int(int64(i % 16)), Int(int64(i % 1024))})
+	}
+	for _, n := range []int{16, 1024, 8192} {
+		kt, _ := db.Table(fmt.Sprintf("k%d", n))
+		for i := 0; i < n; i++ {
+			s := fmt.Sprintf("Item %d Ab", i)
+			if i%2 == 0 {
+				s = fmt.Sprintf("Item %d X", i)
+			}
+			kt.Rows = append(kt.Rows, []Value{Int(int64(i)), Int(int64(i * 7 % n)), Text(s)})
+		}
 	}
 	return db
 }
@@ -83,6 +97,57 @@ func TestRunAllocsFlatInRows(t *testing.T) {
 		}
 		if small, large := grouped("g16", 16), grouped("g1024", 1024); large-small > slack+growth {
 			t.Errorf("columnar %v: GROUP BY allocates %.0f at 16 groups, %.0f at 1 024 (key index growth %.0f)", columnar, small, large, growth)
+		}
+	}
+}
+
+// TestRunAllocsFlatInKeys checks that LIKE, equi-joins and IN over a closed
+// subquery allocate per statement, not per row or per distinct key: each
+// shape over a small and a large table differs by at most a few
+// allocations. The equality table's key map is allowed its own growth,
+// measured on maps of the same sizes.
+func TestRunAllocsFlatInKeys(t *testing.T) {
+	const slack = 8
+	db := allocsDB(t)
+	mapAllocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			m := make(map[uint64]int32, n)
+			for i := 0; i < n; i++ {
+				m[uint64(i)] = int32(i)
+			}
+		})
+	}
+	shapes := []struct {
+		name, sql    string
+		small, large int
+		rows         func(n int) int
+		keyed        bool
+	}{
+		{"LIKE scan", "SELECT id FROM k%d WHERE s LIKE '%%x%%'", 1024, 8192, func(n int) int { return n / 2 }, false},
+		// Both paths build their table on b, and every row of t matches one
+		// key of b: the join emits 8 192 rows either way, so the row path's
+		// environment blocks do not grow with the keys.
+		{"equi-join", "SELECT t.id, b.s FROM t JOIN k%d AS b ON t.g16 = b.k", 1024, 8192, func(int) int { return 8192 }, true},
+		// a is smaller than t, so the row path builds its table on the left
+		// side; every key of a matches 8 192 / n rows of t, so the join again
+		// emits 8 192 rows while the left rows with matches go from 16 to
+		// 1 024.
+		{"left-build equi-join", "SELECT a.id, t.id FROM k%[1]d AS a JOIN t ON a.k = t.g%[1]d", 16, 1024, func(int) int { return 8192 }, true},
+		{"IN (SELECT …)", "SELECT id FROM k8192 WHERE id IN (SELECT id FROM k%d)", 1024, 8192, func(n int) int { return n }, true},
+	}
+	for _, columnar := range []bool{true, false} {
+		for _, sh := range shapes {
+			run := func(n int) float64 {
+				return runAllocs(t, db, fmt.Sprintf(sh.sql, n), columnar, sh.rows(n))
+			}
+			var growth float64
+			if sh.keyed {
+				growth = mapAllocs(sh.large) - mapAllocs(sh.small)
+			}
+			if small, large := run(sh.small), run(sh.large); large-small > slack+growth {
+				t.Errorf("columnar %v: %s allocates %.0f over %d rows, %.0f over %d (key map growth %.0f)",
+					columnar, sh.name, small, sh.small, large, sh.large, growth)
+			}
 		}
 	}
 }

@@ -40,12 +40,10 @@ type Executor struct {
 }
 
 // DefaultColumnarMinRows is the table size below which aggregated
-// statements skip the vectorized path. Scan/filter shapes win at any size
-// (the mask kernels have almost no setup), but grouped aggregation pays a
-// fixed cost per query — group key extraction, typed fold setup — that a
-// tiny table cannot amortize: a ~50-row GROUP BY runs ~15% slower
-// vectorized. The crossover sits well under a few hundred rows on the
-// benchmark corpora; aggregated plans under this floor take the row path.
+// statements skip the vectorized path; scan/filter shapes take it at any
+// size. Re-measured on the current engine, the vectorized path wins from
+// about 50 rows up and breaks even at 16 (ROADMAP.md, "The tiny-table floor
+// no longer pays"); ROADMAP item 3 deletes the floor.
 const DefaultColumnarMinRows = 128
 
 // NewExecutor returns an executor over db.
@@ -553,39 +551,34 @@ func (ex *Executor) equiJoinSpec(envs []*rowEnv, j *sqlast.Join, jAlias string, 
 
 // hashJoin executes the join described by spec, building an eqTable on the
 // smaller side. Emission order is left-major regardless of build side: when
-// the left side is the build side, right-row matches are accumulated per
-// left row first. done=false (with nil error) means the accumulation grew
-// past maxRows and the caller should fall back to the nested loop, which
-// owns the exact error-point semantics for pathological joins.
+// the left side is the build side, the matched (left, right) pairs are
+// partitioned by left row first. done=false (with nil error) means the pairs
+// grew past maxRows and the caller should fall back to the nested loop,
+// which owns the exact error-point semantics for pathological joins.
 func (ex *Executor) hashJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jCols []string, jRows [][]Value, outer *rowEnv, spec *equiJoinSpec) ([]*rowEnv, bool, error) {
 	leftKey := func(le *rowEnv) Value { return le.bindings[spec.leftBinding].vals[spec.leftCol] }
+	rightKey := func(ri int) Value { return jRows[ri][spec.rightCol] }
 
 	// probe yields the candidate right-row indices for one left row, in
 	// right-source order.
 	var probe func(li int, le *rowEnv) []int32
 	if len(jRows) <= len(envs) {
-		ht := newEqTable(spec.dom, len(jRows))
-		for ri, r := range jRows {
-			ht.add(r[spec.rightCol], int32(ri))
-		}
+		ht := newEqTable(spec.dom, len(jRows), rightKey)
 		probe = func(_ int, le *rowEnv) []int32 { return ht.match(leftKey(le)) }
 	} else {
-		ht := newEqTable(spec.dom, len(envs))
-		for li, le := range envs {
-			ht.add(leftKey(le), int32(li))
-		}
-		lists := make([][]int32, len(envs))
-		total := 0
-		for ri, r := range jRows {
-			for _, li := range ht.match(r[spec.rightCol]) {
-				lists[li] = append(lists[li], int32(ri))
-				total++
-				if total > ex.maxRows {
+		ht := newEqTable(spec.dom, len(envs), func(li int) Value { return leftKey(envs[li]) })
+		// Sized for a key join: each right row matches one left row at most.
+		lis, ris := make([]int32, 0, len(jRows)), make([]int32, 0, len(jRows))
+		for ri := range jRows {
+			for _, li := range ht.match(rightKey(ri)) {
+				lis, ris = append(lis, li), append(ris, int32(ri))
+				if len(ris) > ex.maxRows {
 					return nil, false, nil
 				}
 			}
 		}
-		probe = func(li int, _ *rowEnv) []int32 { return lists[li] }
+		lists := partition(ris, lis, len(envs))
+		probe = func(li int, _ *rowEnv) []int32 { return lists.at(li) }
 	}
 
 	joined := make([]*rowEnv, 0, len(envs))
@@ -1009,9 +1002,14 @@ func (ex *Executor) evalIn(x *sqlast.InExpr, env *rowEnv, ctx *evalCtx) (Value, 
 	return Bool(x.Not), nil
 }
 
-// like matches s against a LIKE pattern, memoizing the lowered pattern so a
-// WHERE ... LIKE 'literal' lowers the pattern once per query, not per row.
+// like implements SQL LIKE with % and _ wildcards, case-insensitively.
 func (ex *Executor) like(s, pattern string) bool {
+	return likeMatchLower(s, ex.lowerPattern(pattern))
+}
+
+// lowerPattern returns pattern lowered, memoized so a WHERE ... LIKE
+// 'literal' lowers the pattern once per query, not per row.
+func (ex *Executor) lowerPattern(pattern string) string {
 	lp, ok := ex.likePatterns[pattern]
 	if !ok {
 		if ex.likePatterns == nil || len(ex.likePatterns) >= 256 {
@@ -1020,32 +1018,31 @@ func (ex *Executor) like(s, pattern string) bool {
 		lp = strings.ToLower(pattern)
 		ex.likePatterns[pattern] = lp
 	}
-	return likeMatchLower(strings.ToLower(s), lp)
+	return lp
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively.
-func likeMatch(s, pattern string) bool {
-	return likeMatchLower(strings.ToLower(s), strings.ToLower(pattern))
-}
-
-// likeMatchLower is an iterative two-pointer matcher over pre-lowered
-// inputs: O(len(s)·len(p)) worst case. On a mismatch it backtracks to the
-// most recent '%' and retries with that wildcard consuming one more
-// character, instead of the exponential recursion a naive matcher does on
-// patterns like %a%a%a%...
+// likeMatchLower matches s, as lowered, against the lowered pattern p with
+// an iterative two-pointer matcher: O(len(s)·len(p)) worst case. On a
+// mismatch it backtracks to the most recent '%' and retries with that
+// wildcard consuming one more character, instead of the exponential
+// recursion a naive matcher does on patterns like %a%a%a%...
 //
 // Wildcards are defined over characters, not bytes: '_' must consume one
 // full rune ('é' LIKE '_' is true) and '%' backtracking must advance by
 // whole runes, never splitting a UTF-8 sequence. Pure-ASCII inputs — the
-// overwhelmingly common case — take a byte-wise fast path with no
-// allocation; anything multi-byte falls back to a rune-wise run of the
-// same algorithm.
+// overwhelmingly common case — take a byte-wise fast path that folds s as
+// it compares, with no allocation; anything multi-byte lowers s and falls
+// back to a rune-wise run of the same algorithm.
 func likeMatchLower(s, p string) bool {
 	if isASCII(s) && isASCII(p) {
 		si, pi := 0, 0
 		starP, starS := -1, 0
 		for si < len(s) {
-			if pi < len(p) && (p[pi] == '_' || p[pi] == s[si]) {
+			c := s[si]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if pi < len(p) && (p[pi] == '_' || p[pi] == c) {
 				si++
 				pi++
 			} else if pi < len(p) && p[pi] == '%' {
@@ -1063,7 +1060,7 @@ func likeMatchLower(s, p string) bool {
 		}
 		return pi == len(p)
 	}
-	return likeMatchRunes([]rune(s), []rune(p))
+	return likeMatchRunes([]rune(strings.ToLower(s)), []rune(p))
 }
 
 // likeMatchRunes is the rune-wise twin of the ASCII loop above.
@@ -1339,7 +1336,7 @@ type candidates struct {
 	idx []int32
 	// groups holds the rows of each candidate group of an aggregated arm on
 	// the row executor.
-	groups [][]*rowEnv
+	groups parts[*rowEnv]
 	// scratch is the group context ctx fills, valid until the next call.
 	scratch evalCtx
 }
@@ -1360,8 +1357,8 @@ func (c *candidates) env(i int) *rowEnv {
 
 func (c *candidates) ctx(i int) *evalCtx {
 	switch {
-	case c.groups != nil:
-		c.scratch.group = c.groups[i]
+	case c.groups.start != nil:
+		c.scratch.group = c.groups.at(i)
 	case c.vec != nil && c.vec.aggs != nil:
 		c.scratch.folded = c.vec.folded(i)
 	default:
@@ -1610,7 +1607,8 @@ func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) (candidate
 		if len(envs) > 0 {
 			rep = envs[0]
 		}
-		return candidates{envs: []*rowEnv{rep}, groups: [][]*rowEnv{envs}}, nil
+		whole := parts[*rowEnv]{start: []int32{0, int32(len(envs))}, items: envs}
+		return candidates{envs: []*rowEnv{rep}, groups: whole}, nil
 	}
 	var idx keyIndex
 	key := make([]Value, len(sel.GroupBy))
@@ -1626,34 +1624,49 @@ func (ex *Executor) groupRows(sel *sqlast.SelectStmt, envs []*rowEnv) (candidate
 		gid[i], _ = idx.id(key)
 	}
 	groups := partition(envs, gid, int(idx.n))
-	reps := make([]*rowEnv, len(groups))
-	for g, members := range groups {
-		reps[g] = members[0]
+	reps := make([]*rowEnv, groups.len())
+	for g := range reps {
+		reps[g] = groups.at(g)[0]
 	}
 	return candidates{envs: reps, groups: groups}, nil
 }
 
+// parts is a partition of items: group g is items[start[g]:start[g+1]].
+type parts[T any] struct {
+	start []int32
+	items []T
+}
+
 // partition splits items into the ng groups their ids gid name, keeping
-// input order within a group. Each group is a capacity-clipped window of one
-// backing slice, so a partition costs two allocations whatever ng is.
-func partition[T any](items []T, gid []int32, ng int) [][]T {
-	store := make([]T, len(items))
-	groups := make([][]T, ng)
-	// Count each group's members in its window's length, then lay the
-	// windows out back to back.
+// input order within a group. The groups are windows of one backing slice
+// with their offsets in another, so a partition costs two allocations
+// whatever ng is.
+func partition[T any](items []T, gid []int32, ng int) parts[T] {
+	p := parts[T]{start: make([]int32, ng+1), items: make([]T, len(items))}
+	// Count each group's members, turn the counts into window ends, then
+	// fill each window from its end, which leaves start[g] at its beginning.
 	for _, g := range gid {
-		groups[g] = store[:len(groups[g])+1]
+		p.start[g]++
 	}
-	off := 0
-	for g := range groups {
-		n := len(groups[g])
-		groups[g] = store[off : off : off+n]
-		off += n
+	for g := 1; g <= ng; g++ {
+		p.start[g] += p.start[g-1]
 	}
-	for i, g := range gid {
-		groups[g] = append(groups[g], items[i])
+	for i := len(items) - 1; i >= 0; i-- {
+		g := gid[i]
+		p.start[g]--
+		p.items[p.start[g]] = items[i]
 	}
-	return groups
+	return p
+}
+
+// len is the number of groups.
+func (p parts[T]) len() int { return len(p.start) - 1 }
+
+// at returns group g, capacity-clipped so an append cannot write into the
+// next group.
+func (p parts[T]) at(g int) []T {
+	lo, hi := p.start[g], p.start[g+1]
+	return p.items[lo:hi:hi]
 }
 
 // tableStars resolves sel's t.* items against env's bindings, whose layout

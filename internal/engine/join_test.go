@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -179,10 +181,11 @@ func TestLikePathological(t *testing.T) {
 	s := strings.Repeat("a", 60) + "b"
 	pattern := strings.Repeat("%a", 18) + "%c"
 	start := time.Now()
-	if likeMatch(s, pattern) {
+	ex := &Executor{}
+	if ex.like(s, pattern) {
 		t.Error("pattern should not match")
 	}
-	if likeMatch(strings.Repeat("a", 200)+"c", pattern) != true {
+	if ex.like(strings.Repeat("a", 200)+"c", pattern) != true {
 		t.Error("pattern should match")
 	}
 	if d := time.Since(start); d > 250*time.Millisecond {
@@ -197,4 +200,140 @@ func TestLikePathological(t *testing.T) {
 	if len(res.Rows) != 2 { // Joe Sharp, Rose White
 		t.Fatalf("LIKE '%%o%%e%%' matched %d rows, want 2:\n%s", len(res.Rows), res.Format())
 	}
+}
+
+// firstColumnInts returns column 0 of res as integers.
+func firstColumnInts(res *Result) []int64 {
+	ids := []int64{}
+	for _, row := range res.Rows {
+		ids = append(ids, row[0].I)
+	}
+	return ids
+}
+
+// leftBuildDB holds a five-row l and a twelve-row r in which seven rows
+// share the key 1, so the row path builds its table on l.
+func leftBuildDB(t *testing.T) *Database {
+	t.Helper()
+	db := NewDatabase("left_build")
+	script := `
+CREATE TABLE l (id INT, k INT);
+INSERT INTO l VALUES (1, 1), (2, NULL), (3, 2), (4, 1), (5, 7);
+CREATE TABLE r (k INT, v TEXT);
+INSERT INTO r VALUES (1, 'r0'), (3, 'r1'), (1, 'r2'), (NULL, 'r3'), (1, 'r4'), (2, 'r5'),
+ (1, 'r6'), (3, 'r7'), (1, 'r8'), (2, 'r9'), (1, 'r10'), (1, 'r11');
+`
+	if err := db.LoadScript(script); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestHashJoinLeftBuildOrder joins a left side smaller than the right one,
+// where many right rows share a key. Every leg must emit the nested loop's
+// rows in its order: left-major, right rows in source order, a matchless
+// left row null-extended in place.
+func TestHashJoinLeftBuildOrder(t *testing.T) {
+	db := leftBuildDB(t)
+	for _, sql := range []string{
+		"SELECT l.id, r.v FROM l LEFT JOIN r ON l.k = r.k",
+		"SELECT l.id, r.v FROM l LEFT JOIN r ON r.k = l.k AND r.v <> 'r4'",
+		"SELECT l.id, r.v FROM l JOIN r ON l.k = r.k",
+	} {
+		fourLegs(t, db, sql) // Select, one of the legs, is then held to the nested loop
+		assertHashNestedAgree(t, db, sql)
+	}
+	// Past maxRows the left-built pairs bail to the nested loop, which
+	// reports the error; under the cap the hash path answers itself. The cap
+	// stays above r's twelve rows, which the scan checks first.
+	sql := "SELECT l.id, r.v FROM l LEFT JOIN r ON l.k = r.k"
+	sel, _ := sqlparse.ParseSelect(sql)
+	for _, maxRows := range []int{14, 20} {
+		var got [2]string
+		for i, hash := range []bool{true, false} {
+			ex := NewExecutor(db)
+			ex.maxRows = maxRows
+			ex.SetHashJoin(hash)
+			res, err := ex.Select(sel)
+			if got[i] = fmt.Sprint(err); err == nil {
+				got[i] = res.Format()
+			}
+		}
+		if got[0] != got[1] {
+			t.Errorf("maxRows %d: hash join gave %s, nested loop %s", maxRows, got[0], got[1])
+		}
+		if want := "join result exceeds 14 rows"; maxRows == 14 && got[0] != want {
+			t.Errorf("maxRows 14: %s, want %q", got[0], want)
+		}
+	}
+}
+
+// TestInSubqueryEdges probes IN over a closed subquery with a NULL
+// candidate, duplicate candidates, -0 against 0 and integers against
+// floats, on every leg.
+func TestInSubqueryEdges(t *testing.T) {
+	db := NewDatabase("in_edges")
+	if err := db.LoadScript("CREATE TABLE p (id INT, x REAL); CREATE TABLE c (k REAL); CREATE TABLE d (k REAL);"); err != nil {
+		t.Fatal(err)
+	}
+	// DDL coerces by column type: set the rows directly to mix ints in.
+	p, _ := db.Table("p")
+	p.Rows = [][]Value{
+		{Int(1), Float(0)}, {Int(2), Float(math.Copysign(0, -1))}, {Int(3), Int(1)},
+		{Int(4), Float(1.5)}, {Int(5), Null()}, {Int(6), Int(2)},
+	}
+	c, _ := db.Table("c")
+	c.Rows = [][]Value{{Float(math.Copysign(0, -1))}, {Int(1)}, {Int(1)}, {Null()}, {Float(2)}}
+	d, _ := db.Table("d")
+	d.Rows = [][]Value{{Int(0)}, {Float(1)}, {Int(1)}}
+	for sql, want := range map[string][]int64{
+		"SELECT id FROM p WHERE x IN (SELECT k FROM c)": {1, 2, 3, 6},
+		// 1.5 is NULL against a set holding NULL, never true.
+		"SELECT id FROM p WHERE x NOT IN (SELECT k FROM c)": {},
+		"SELECT id FROM p WHERE x IN (SELECT k FROM d)":     {1, 2, 3},
+		"SELECT id FROM p WHERE x NOT IN (SELECT k FROM d)": {4, 6},
+	} {
+		if got := firstColumnInts(fourLegs(t, db, sql)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v, want %v", sql, got, want)
+		}
+	}
+	sql := "SELECT id, x IN (SELECT k FROM c), x NOT IN (SELECT k FROM d) FROM p"
+	want := [][]Value{
+		{Int(1), Bool(true), Bool(false)}, {Int(2), Bool(true), Bool(false)}, {Int(3), Bool(true), Bool(false)},
+		{Int(4), Null(), Bool(true)}, {Int(5), Null(), Null()}, {Int(6), Bool(true), Bool(true)},
+	}
+	if got := fourLegs(t, db, sql).Rows; !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: %v, want %v", sql, got, want)
+	}
+}
+
+// ----------------------------------------------------------------------------
+// Benchmarks: a 10 000 × 2 000 key join, on the vectorized path (one ON
+// conjunct) and on the row path (a residual conjunct, the 2 000-row side on
+// the left, where the row path builds its table), each against the
+// plan-less Select oracle.
+
+func benchJoinDB(b *testing.B) *Database {
+	b.Helper()
+	db := NewDatabase("bench_join")
+	if err := db.LoadScript("CREATE TABLE f (id INT, k INT); CREATE TABLE dim (k INT, name TEXT);"); err != nil {
+		b.Fatal(err)
+	}
+	f, _ := db.Table("f")
+	for i := 0; i < 10000; i++ {
+		f.Rows = append(f.Rows, []Value{Int(int64(i)), Int(int64(i * 7919 % 10007 % 2000))})
+	}
+	dim, _ := db.Table("dim")
+	for i := 0; i < 2000; i++ {
+		dim.Rows = append(dim.Rows, []Value{Int(int64(i)), Text(fmt.Sprintf("d%04d", i))})
+	}
+	return db
+}
+
+func BenchmarkHashJoinVec(b *testing.B) {
+	benchRunVsSelect(b, benchJoinDB(b), "SELECT f.id, dim.name FROM f JOIN dim ON f.k = dim.k")
+}
+
+func BenchmarkHashJoinRow(b *testing.B) {
+	benchRunVsSelect(b, benchJoinDB(b), "SELECT dim.name, f.id FROM dim JOIN f ON dim.k = f.k AND f.id >= 0")
 }

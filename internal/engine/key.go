@@ -22,7 +22,8 @@ import (
 // on text it is the exact string (Compare ties only identical strings).
 // Bool (it equals numbers and text alike), NaN (it equals every number) and
 // mixed domains have no hash, and the sites fall back to Compare. eqTable is
-// the hash table.
+// the hash table: it numbers the keys and partitions the rows by key, the
+// same partition that lays out GROUP BY's groups.
 
 // intKey returns the int64 that keys v under the grouping equivalence, if
 // any. The range test comes first: converting an out-of-range float to int64
@@ -180,19 +181,50 @@ func (d keyDomain) merge(e keyDomain) keyDomain {
 func (d keyDomain) hashable() bool { return d == domNum || d == domText }
 
 // eqTable indexes rows by a key value under the join equivalence: match(v)
-// returns, in insertion order, the rows whose added value Compare-equals v.
-// Every value added or probed must be NULL or lie in the table's domain.
+// returns, in row order, the rows whose key Compare-equals v. The rows are
+// partitioned by key, so a table costs the same few allocations however
+// many distinct keys it holds.
 type eqTable struct {
-	num  map[uint64][]int32
-	text map[string][]int32
+	num  map[uint64]int32 // key → id, on domNum
+	text map[string]int32 // key → id, on domText
+	rows parts[int32]     // id → its rows
 }
 
-// newEqTable returns an empty table over the hashable domain dom.
-func newEqTable(dom keyDomain, size int) eqTable {
+// newEqTable indexes rows 0..n-1 by key(i) over the hashable domain dom.
+// Every key must be NULL or lie in dom; a NULL is never recorded: it
+// matches nothing.
+func newEqTable(dom keyDomain, n int, key func(int) Value) eqTable {
+	var t eqTable
 	if dom == domNum {
-		return eqTable{num: make(map[uint64][]int32, size)}
+		t.num = make(map[uint64]int32, n)
+	} else {
+		t.text = make(map[string]int32, n)
 	}
-	return eqTable{text: make(map[string][]int32, size)}
+	rows, ids := make([]int32, 0, n), make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		var g int32
+		switch v := key(i); {
+		case v.IsNull():
+			continue
+		case t.num != nil:
+			g = eqID(t.num, numKey(v))
+		default:
+			g = eqID(t.text, v.S)
+		}
+		rows, ids = append(rows, int32(i)), append(ids, g)
+	}
+	t.rows = partition(rows, ids, len(t.num)+len(t.text))
+	return t
+}
+
+// eqID returns k's id in m, numbering it len(m) when it is new.
+func eqID[K comparable](m map[K]int32, k K) int32 {
+	id, ok := m[k]
+	if !ok {
+		id = int32(len(m))
+		m[k] = id
+	}
+	return id
 }
 
 func numKey(v Value) uint64 {
@@ -203,26 +235,20 @@ func numKey(v Value) uint64 {
 	return math.Float64bits(f)
 }
 
-// add records that row holds v. A NULL is never recorded: it matches nothing.
-func (t *eqTable) add(v Value, row int32) {
-	if v.IsNull() {
-		return
-	}
-	if t.num != nil {
-		k := numKey(v)
-		t.num[k] = append(t.num[k], row)
-		return
-	}
-	t.text[v.S] = append(t.text[v.S], row)
-}
-
-// match returns the rows whose value Compare-equals v; none for NULL.
+// match returns the rows whose key Compare-equals v; none for NULL.
 func (t *eqTable) match(v Value) []int32 {
+	var g int32
+	var ok bool
 	switch {
 	case v.IsNull():
 		return nil
 	case t.num != nil:
-		return t.num[numKey(v)]
+		g, ok = t.num[numKey(v)]
+	default:
+		g, ok = t.text[v.S]
 	}
-	return t.text[v.S]
+	if !ok {
+		return nil
+	}
+	return t.rows.at(int(g))
 }

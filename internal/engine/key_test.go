@@ -129,9 +129,10 @@ var eqPools = [][]Value{
 }
 
 // checkEqTableCase decodes byte 0 as the domain and every later byte as a
-// NULL (one in eight) or a value of it, adds every value to an eqTable, and
-// probes it with every value and NULL: a probe must match exactly the rows
-// Equal calls equal, in row order.
+// NULL (one in eight) or a value of it, builds an eqTable over the values,
+// and probes it with every value and NULL: a probe must match exactly the
+// rows Equal calls equal, in row order, as a window whose capacity ends at
+// its length.
 func checkEqTableCase(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -154,10 +155,7 @@ func checkEqTableCase(t *testing.T, data []byte) {
 	if !dom.hashable() {
 		t.Fatalf("values %v: domain %d has no hash", vals, dom)
 	}
-	ht := newEqTable(dom, len(vals))
-	for i, v := range vals {
-		ht.add(v, int32(i))
-	}
+	ht := newEqTable(dom, len(vals), func(i int) Value { return vals[i] })
 	for _, probe := range append(vals, Null()) {
 		var want []int32
 		for i, v := range vals {
@@ -165,8 +163,12 @@ func checkEqTableCase(t *testing.T, data []byte) {
 				want = append(want, int32(i))
 			}
 		}
-		if got := ht.match(probe); !reflect.DeepEqual(got, want) {
+		got := ht.match(probe)
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("probe %#v over %v: matched %v, Equal says %v", probe, vals, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("probe %#v over %v: window %v has capacity %d", probe, vals, got, cap(got))
 		}
 	}
 }

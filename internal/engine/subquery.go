@@ -127,10 +127,7 @@ func newInSet(rows [][]Value) *inSet {
 		}
 	}
 	if s.dom.hashable() {
-		s.keys = newEqTable(s.dom, len(rows))
-		for i, r := range rows {
-			s.keys.add(r[0], int32(i))
-		}
+		s.keys = newEqTable(s.dom, len(rows), func(i int) Value { return rows[i][0] })
 	}
 	return s
 }

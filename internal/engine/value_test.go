@@ -177,9 +177,10 @@ func TestLikeMatch(t *testing.T) {
 		{"abc", "a_c", true},
 		{"ac", "a_c", false},
 	}
+	ex := &Executor{}
 	for _, tc := range tests {
-		if got := likeMatch(tc.s, tc.p); got != tc.want {
-			t.Errorf("likeMatch(%q, %q) = %v", tc.s, tc.p, got)
+		if got := ex.like(tc.s, tc.p); got != tc.want {
+			t.Errorf("like(%q, %q) = %v", tc.s, tc.p, got)
 		}
 	}
 }

@@ -297,10 +297,7 @@ func (v *vecExec) buildPairs() bool {
 	}
 	var ht eqTable
 	if dom != domNone {
-		ht = newEqTable(dom, len(vp.t2.Rows))
-		for ri, r := range vp.t2.Rows {
-			ht.add(r[vp.rightCol], int32(ri))
-		}
+		ht = newEqTable(dom, len(vp.t2.Rows), func(ri int) Value { return vp.t2.Rows[ri][vp.rightCol] })
 	}
 	leftJoin := vp.joinType == sqlast.JoinLeft
 	pairs := make([]vecPair, 0, len(vp.t1.Rows))
@@ -344,10 +341,10 @@ func (v *vecExec) run() (candidates, []string, bool) {
 	}
 	if nodes := v.vp.aggNodes; len(nodes) > 0 {
 		k := len(nodes)
-		v.aggs = make([]Value, len(groups)*k)
-		for g, group := range groups {
+		v.aggs = make([]Value, groups.len()*k)
+		for g := range groups.len() {
 			for j, node := range nodes {
-				val, err := v.aggValue(node, group)
+				val, err := v.aggValue(node, groups.at(g))
 				if err != nil {
 					return candidates{}, nil, false
 				}
@@ -857,14 +854,14 @@ func (v *vecExec) likeMask(x *sqlast.LikeExpr) ([]int8, bool, error) {
 	if c.kind != kindString {
 		return nil, false, nil
 	}
-	ps := pat.String()
+	lp := v.ex.lowerPattern(pat.String())
 	m := make([]int8, v.n)
 	for i := range m {
 		if c.null(i) {
 			m[i] = mNull
 			continue
 		}
-		if v.ex.like(c.strs[i], ps) != x.Not {
+		if likeMatchLower(c.strs[i], lp) != x.Not {
 			m[i] = mTrue
 		}
 	}
@@ -936,13 +933,13 @@ func (v *vecExec) inMask(x *sqlast.InExpr) ([]int8, bool, error) {
 // representative. A bare column key is
 // gathered from its slot, any other evaluated per row. rep == -1 marks the
 // empty global group.
-func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok bool) {
+func (v *vecExec) groupSel(selIdx []int32) (groups parts[int32], reps []int32, ok bool) {
 	if len(v.stmt.GroupBy) == 0 {
 		rep := int32(-1)
 		if len(selIdx) > 0 {
 			rep = selIdx[0]
 		}
-		return [][]int32{selIdx}, []int32{rep}, true
+		return parts[int32]{start: []int32{0, int32(len(selIdx))}, items: selIdx}, []int32{rep}, true
 	}
 	slots := make([]colSlot, len(v.stmt.GroupBy))
 	bare := make([]bool, len(v.stmt.GroupBy))
@@ -960,16 +957,16 @@ func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok b
 			}
 			val, err := v.ex.eval(g, v.env(int(i)), nil)
 			if err != nil {
-				return nil, nil, false
+				return groups, nil, false
 			}
 			key[k] = val
 		}
 		gid[n], _ = idx.id(key)
 	}
 	groups = partition(selIdx, gid, int(idx.n))
-	reps = make([]int32, len(groups))
-	for g, members := range groups {
-		reps[g] = members[0]
+	reps = make([]int32, groups.len())
+	for g := range reps {
+		reps[g] = groups.at(g)[0]
 	}
 	return groups, reps, true
 }

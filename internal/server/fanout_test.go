@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,14 +82,23 @@ func subscribe(t *testing.T, ts *httptest.Server, sid string, from uint64) (*htt
 // collectUntilEOF reads frames until the stream ends (topic closed).
 func collectUntilEOF(t *testing.T, r *bufio.Reader) []sseEvent {
 	t.Helper()
+	out, err := readUntilEOF(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// readUntilEOF is collectUntilEOF for goroutines that must report, not fail.
+func readUntilEOF(r *bufio.Reader) ([]sseEvent, error) {
 	var out []sseEvent
 	for {
 		ev, err := readFrame(r)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return out
+				return out, nil
 			}
-			t.Fatalf("read frame: %v", err)
+			return out, fmt.Errorf("read frame: %v", err)
 		}
 		out = append(out, ev)
 	}
@@ -486,13 +496,32 @@ func TestEventsConcurrentFanout(t *testing.T) {
 	sid := newTestSession(t, ts)
 
 	const subscribers = 6
-	results := make(chan []sseEvent, subscribers)
+	type view struct {
+		events []sseEvent
+		err    error
+	}
+	results := make(chan view, subscribers)
+	// Each subscriber attaches on its own goroutine, racing the asks, and
+	// always reports on results: a t.Fatal there would leave the receive
+	// loop below waiting forever.
+	var attached sync.WaitGroup
+	attached.Add(subscribers)
 	for i := 0; i < subscribers; i++ {
-		go func(i int) {
-			resp, r := subscribe(t, ts, sid, 0)
+		go func() {
+			resp, err := http.Get(ts.URL + "/v1/sessions/" + sid + "/events")
+			attached.Done()
+			if err != nil {
+				results <- view{err: err}
+				return
+			}
 			defer resp.Body.Close()
-			results <- collectUntilEOF(t, r)
-		}(i)
+			if resp.StatusCode != http.StatusOK {
+				results <- view{err: fmt.Errorf("subscribe: status %d", resp.StatusCode)}
+				return
+			}
+			events, err := readUntilEOF(bufio.NewReader(resp.Body))
+			results <- view{events, err}
+		}()
 		if i == subscribers/2 {
 			// Stagger: half the subscribers attach mid-run and replay.
 			askPlain(t, ts, sid, f.ds.Examples[0].Question)
@@ -506,11 +535,18 @@ func TestEventsConcurrentFanout(t *testing.T) {
 		askPlain(t, ts, sid, e.Question)
 	}
 	sendFeedback(t, ts, sid, "use a left join instead")
+	// A subscriber that attached after the delete would get a 404 instead
+	// of the stream, so every attach returns first.
+	attached.Wait()
 	deleteSession(t, ts, sid)
 
 	var reference []sseEvent
 	for i := 0; i < subscribers; i++ {
-		got := <-results
+		v := <-results
+		if v.err != nil {
+			t.Fatalf("subscriber %d: %v", i, v.err)
+		}
+		got := v.events
 		checkContiguous(t, got, 1, fmt.Sprintf("subscriber %d", i))
 		if got[len(got)-1].name != "delete" {
 			t.Fatalf("subscriber %d did not end with delete: %+v", i, got[len(got)-1])
