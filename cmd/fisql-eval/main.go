@@ -33,7 +33,7 @@ func main() {
 	rows := flag.Int("rows", 1,
 		"row-count multiplier: scale every database to N times its base rows (questions and gold SQL are unchanged and runs stay deterministic; execution-match accuracy can shift slightly because results are computed over the scaled data)")
 	requireColumnar := flag.Bool("require-columnar", false,
-		"fail unless the engine's vectorized columnar path served at least one query (CI guard)")
+		"fail unless the engine's vectorized columnar path served queries and none fell back to the row executor (CI guard)")
 	ragIndex := flag.String("rag-index", "exact",
 		"demonstration retrieval index: exact (linear scan) or hnsw (sublinear graph + exact rerank; results are byte-identical)")
 	flag.Parse()
@@ -116,8 +116,8 @@ func main() {
 			}
 		}
 		fmt.Printf("\ncolumnar execution: %d hits, %d fallbacks\n", hits, falls)
-		if hits == 0 {
-			log.Fatal("-require-columnar: the vectorized columnar path served no queries")
+		if hits == 0 || falls != 0 {
+			log.Fatalf("-require-columnar: want columnar hits and no fallback, got %d hits, %d fallbacks", hits, falls)
 		}
 	}
 

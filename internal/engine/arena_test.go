@@ -13,17 +13,14 @@ type resultLeg struct {
 	run  func() (*Result, error)
 }
 
-// resultLegs runs p on Run, on Run with the columnar path off, on Run with
-// the tiny-table floor removed and on the plan-less Select.
+// resultLegs runs p on Run, on Run with the columnar path off and on the
+// plan-less Select.
 func resultLegs(db *Database, p *Plan) []resultLeg {
 	off := NewExecutor(db)
 	off.SetColumnar(false)
-	unfloored := NewExecutor(db)
-	unfloored.SetColumnarMinRows(0)
 	return []resultLeg{
 		{"run", func() (*Result, error) { return NewExecutor(db).Run(p) }},
 		{"columnar off", func() (*Result, error) { return off.Run(p) }},
-		{"no floor", func() (*Result, error) { return unfloored.Run(p) }},
 		{"select", func() (*Result, error) { return NewExecutor(db).Select(p.Stmt) }},
 	}
 }

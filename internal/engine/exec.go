@@ -24,9 +24,6 @@ type Executor struct {
 	noHashJoin bool
 	// noColumnar disables the vectorized columnar path; see SetColumnar.
 	noColumnar bool
-	// colMinRows gates aggregated columnar plans on table size; see
-	// SetColumnarMinRows.
-	colMinRows int
 	// likePatterns memoizes lowercased LIKE patterns so the per-row match
 	// does not re-lower the pattern for every candidate row.
 	likePatterns map[string]string
@@ -39,16 +36,9 @@ type Executor struct {
 	orderStats OrderStats
 }
 
-// DefaultColumnarMinRows is the table size below which aggregated
-// statements skip the vectorized path; scan/filter shapes take it at any
-// size. Re-measured on the current engine, the vectorized path wins from
-// about 50 rows up and breaks even at 16 (ROADMAP.md, "The tiny-table floor
-// no longer pays"); ROADMAP item 3 deletes the floor.
-const DefaultColumnarMinRows = 128
-
 // NewExecutor returns an executor over db.
 func NewExecutor(db *Database) *Executor {
-	return &Executor{db: db, maxRows: 2_000_000, colMinRows: DefaultColumnarMinRows}
+	return &Executor{db: db, maxRows: 2_000_000}
 }
 
 // SetHashJoin toggles the hash equi-join fast path (on by default). The
@@ -62,12 +52,6 @@ func (ex *Executor) SetHashJoin(on bool) { ex.noHashJoin = !on }
 // than diverge — so the knob exists for differential tests and paired
 // benchmarks, like SetHashJoin.
 func (ex *Executor) SetColumnar(on bool) { ex.noColumnar = !on }
-
-// SetColumnarMinRows overrides DefaultColumnarMinRows for this executor.
-// n <= 0 removes the floor: every qualified statement vectorizes, however
-// small its tables — the setting differential and kernel tests pin so tiny
-// fixtures still exercise the columnar aggregate path.
-func (ex *Executor) SetColumnarMinRows(n int) { ex.colMinRows = n }
 
 // Query parses, plans and executes a SELECT given as text. Use a shared
 // Cache to amortize the parse+plan work across repeated queries.

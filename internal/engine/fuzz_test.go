@@ -178,21 +178,6 @@ func runRowLeg(db *engine.Database, sql string) (*engine.Result, error, bool) {
 	return res, err, true
 }
 
-// runVecLeg executes a cached plan with the tiny-table aggregation floor
-// removed: production executors route sub-DefaultColumnarMinRows aggregates
-// to the row path, so without this leg the vectorized aggregate kernels
-// would never face the native-scale (tiny) corpus tables.
-func runVecLeg(db *engine.Database, sql string) (*engine.Result, error, bool) {
-	p, err := fuzzWorld.cache.Plan(db, sql)
-	if err != nil {
-		return nil, nil, false
-	}
-	ex := engine.NewExecutor(db)
-	ex.SetColumnarMinRows(0)
-	res, err := ex.Run(p)
-	return res, err, true
-}
-
 // FuzzExecPlannedVsDynamic differentially executes every (db, sql) input on
 // the planned/cached/hash-join path and the dynamic-lookup interpreter.
 // The two must agree on error-ness, error text, and the full result.
@@ -232,9 +217,6 @@ func FuzzExecPlannedVsDynamic(f *testing.F) {
 			if _, errR, planned := runRowLeg(db, sql); planned && (errR == nil || errR.Error() != err1.Error()) {
 				t.Fatalf("columnar-off leg changed the error: %v vs %v\nsql: %q", errR, err1, sql)
 			}
-			if _, errV, planned := runVecLeg(db, sql); planned && (errV == nil || errV.Error() != err1.Error()) {
-				t.Fatalf("unfloored columnar leg changed the error: %v vs %v\nsql: %q", errV, err1, sql)
-			}
 			return
 		}
 		if err2 != nil {
@@ -252,12 +234,6 @@ func FuzzExecPlannedVsDynamic(f *testing.F) {
 		row, errR, planned := runRowLeg(db, sql)
 		if planned && !reflect.DeepEqual(row, planned1) {
 			t.Fatalf("columnar-off leg diverged (err=%v)\ncolumnar: %+v\nrow:      %+v\nsql: %q", errR, planned1, row, sql)
-		}
-		// Fourth leg: the floor removed, so the vectorized aggregate kernels
-		// run even on tables the production threshold routes to the row path.
-		vec, errV, planned := runVecLeg(db, sql)
-		if planned && !reflect.DeepEqual(vec, planned1) {
-			t.Fatalf("unfloored columnar leg diverged (err=%v)\nvec: %+v\nref: %+v\nsql: %q", errV, vec, planned1, sql)
 		}
 	})
 }
@@ -277,7 +253,6 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		planned, errP := fuzzWorld.cache.Query(db, s[1])
 		dynamic, errD := runOracle(db, s[1])
 		row, errR, hasPlan := runRowLeg(db, s[1])
-		vec, errV, hasVec := runVecLeg(db, s[1])
 		switch {
 		case (errP == nil) != (errD == nil):
 			t.Errorf("%s: planned err=%v dynamic err=%v\nsql: %q", s[0], errP, errD, s[1])
@@ -288,15 +263,10 @@ func TestFuzzSeedCorpus(t *testing.T) {
 			if hasPlan && (errR == nil || errR.Error() != errP.Error()) {
 				t.Errorf("%s: columnar-off error diverged: %v vs %v\nsql: %q", s[0], errR, errP, s[1])
 			}
-			if hasVec && (errV == nil || errV.Error() != errP.Error()) {
-				t.Errorf("%s: unfloored columnar error diverged: %v vs %v\nsql: %q", s[0], errV, errP, s[1])
-			}
 		case !reflect.DeepEqual(planned, dynamic):
 			t.Errorf("%s: results diverged for %q", s[0], strings.TrimSpace(s[1]))
 		case hasPlan && !reflect.DeepEqual(row, planned):
 			t.Errorf("%s: columnar-off leg diverged (err=%v) for %q", s[0], errR, strings.TrimSpace(s[1]))
-		case hasVec && !reflect.DeepEqual(vec, planned):
-			t.Errorf("%s: unfloored columnar leg diverged (err=%v) for %q", s[0], errV, strings.TrimSpace(s[1]))
 		}
 	}
 }

@@ -240,7 +240,10 @@ func TestHashJoinLeftBuildOrder(t *testing.T) {
 		"SELECT l.id, r.v FROM l LEFT JOIN r ON r.k = l.k AND r.v <> 'r4'",
 		"SELECT l.id, r.v FROM l JOIN r ON l.k = r.k",
 	} {
-		fourLegs(t, db, sql) // Select, one of the legs, is then held to the nested loop
+		// Select, one of the legs, is then held to the nested loop.
+		if _, err := runLegs(t, db, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
 		assertHashNestedAgree(t, db, sql)
 	}
 	// Past maxRows the left-built pairs bail to the nested loop, which
@@ -293,8 +296,8 @@ func TestInSubqueryEdges(t *testing.T) {
 		"SELECT id FROM p WHERE x IN (SELECT k FROM d)":     {1, 2, 3},
 		"SELECT id FROM p WHERE x NOT IN (SELECT k FROM d)": {4, 6},
 	} {
-		if got := firstColumnInts(fourLegs(t, db, sql)); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %v, want %v", sql, got, want)
+		if res, err := runLegs(t, db, sql); err != nil || !reflect.DeepEqual(firstColumnInts(res), want) {
+			t.Errorf("%s: %+v (err %v), want %v", sql, res, err, want)
 		}
 	}
 	sql := "SELECT id, x IN (SELECT k FROM c), x NOT IN (SELECT k FROM d) FROM p"
@@ -302,8 +305,8 @@ func TestInSubqueryEdges(t *testing.T) {
 		{Int(1), Bool(true), Bool(false)}, {Int(2), Bool(true), Bool(false)}, {Int(3), Bool(true), Bool(false)},
 		{Int(4), Null(), Bool(true)}, {Int(5), Null(), Null()}, {Int(6), Bool(true), Bool(true)},
 	}
-	if got := fourLegs(t, db, sql).Rows; !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: %v, want %v", sql, got, want)
+	if res, err := runLegs(t, db, sql); err != nil || !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("%s: %+v (err %v), want %v", sql, res, err, want)
 	}
 }
 

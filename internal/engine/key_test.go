@@ -220,11 +220,11 @@ func TestRowKeysInjective(t *testing.T) {
 	}
 	p, _ := db.Table("p")
 	p.Rows = [][]Value{{Text("a\x1fsc"), Text("b")}, {Text("a"), Text("c\x1fsb")}}
-	if res := fourLegs(t, db, "SELECT DISTINCT a, b FROM p"); !reflect.DeepEqual(res.Rows, p.Rows) {
-		t.Errorf("DISTINCT: %v, want %v", res.Rows, p.Rows)
+	if res, err := runLegs(t, db, "SELECT DISTINCT a, b FROM p"); err != nil || !reflect.DeepEqual(res.Rows, p.Rows) {
+		t.Errorf("DISTINCT: %+v (err %v), want %v", res, err, p.Rows)
 	}
 	want := [][]Value{{p.Rows[0][0], p.Rows[0][1], Int(1)}, {p.Rows[1][0], p.Rows[1][1], Int(1)}}
-	if res := fourLegs(t, db, "SELECT a, b, COUNT(*) FROM p GROUP BY a, b"); !reflect.DeepEqual(res.Rows, want) {
-		t.Errorf("GROUP BY: %v, want %v", res.Rows, want)
+	if res, err := runLegs(t, db, "SELECT a, b, COUNT(*) FROM p GROUP BY a, b"); err != nil || !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("GROUP BY: %+v (err %v), want %v", res, err, want)
 	}
 }

@@ -213,8 +213,8 @@ INSERT INTO n VALUES (1, 'Alpha'), (2, NULL), (3, 'BETA'), (4, 'gAmma'), (5, 'xy
 		"SELECT id FROM n WHERE s LIKE NULL":       {},
 		"SELECT id FROM n WHERE s NOT LIKE NULL":   {},
 	} {
-		if got := firstColumnInts(fourLegs(t, db, sql)); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %v, want %v", sql, got, want)
+		if res, err := runLegs(t, db, sql); err != nil || !reflect.DeepEqual(firstColumnInts(res), want) {
+			t.Errorf("%s: %+v (err %v), want %v", sql, res, err, want)
 		}
 	}
 	sql := "SELECT id, s LIKE 'a%', s NOT LIKE 'a%', s NOT LIKE NULL FROM n WHERE id < 4"
@@ -223,8 +223,8 @@ INSERT INTO n VALUES (1, 'Alpha'), (2, NULL), (3, 'BETA'), (4, 'gAmma'), (5, 'xy
 		{Int(2), Null(), Null(), Null()},
 		{Int(3), Bool(false), Bool(true), Null()},
 	}
-	if got := fourLegs(t, db, sql).Rows; !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: %v, want %v", sql, got, want)
+	if res, err := runLegs(t, db, sql); err != nil || !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("%s: %+v (err %v), want %v", sql, res, err, want)
 	}
 }
 

@@ -208,7 +208,7 @@ func TestOrderKeyResolution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		runBoth(t, db, sql)
+		runLegs(t, db, sql)
 		return fmt.Sprint(res.Rows[0])
 	}
 	for _, tc := range []struct{ sql, want string }{
@@ -242,7 +242,7 @@ func TestOrderKeyResolution(t *testing.T) {
 		if err == nil || err.Error() != tc.err {
 			t.Errorf("%s: got %v, want %q", tc.sql, err, tc.err)
 		}
-		runBoth(t, db, tc.sql)
+		runLegs(t, db, tc.sql)
 	}
 	// No row, no key evaluation: the failing key is never reached.
 	if _, err := runBothWays(t, db, "SELECT id FROM empty_t ORDER BY (SELECT id FROM singer)"); err != nil {

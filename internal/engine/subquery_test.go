@@ -264,7 +264,7 @@ INSERT INTO cand VALUES (1, '5', TRUE, 2.0), (NULL, 'two', NULL, 5.0), (7, 'TRUE
 				for _, where := range []string{"", " WHERE " + cc + " IS NOT NULL"} {
 					sql := fmt.Sprintf("SELECT n, s FROM probe WHERE %s %sIN (SELECT %s FROM cand%s)", pc, not, cc, where)
 					runBothWays(t, db, sql)
-					runBoth(t, db, sql)
+					runLegs(t, db, sql)
 				}
 			}
 		}

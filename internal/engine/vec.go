@@ -221,12 +221,6 @@ func (ex *Executor) runVec(p *Plan) (c candidates, cols []string, ok bool) {
 	if !vp.ok {
 		return candidates{}, nil, false
 	}
-	// Tiny-table aggregation: below the floor the row path wins — see
-	// DefaultColumnarMinRows. Scan shapes stay vectorized at any size.
-	if vp.aggregated && ex.colMinRows > 0 && len(vp.t1.Rows) < ex.colMinRows &&
-		(vp.t2 == nil || len(vp.t2.Rows) < ex.colMinRows) {
-		return candidates{}, nil, false
-	}
 	// The row executor owns the oversized-scan and oversized-join errors:
 	// bail rather than replicate their text and order.
 	if len(vp.t1.Rows) > ex.maxRows {

@@ -11,55 +11,28 @@ import (
 	"fisql/internal/sqlparse"
 )
 
-// runBoth executes sql twice — columnar enabled and disabled — and requires
-// identical results (or identical errors). The columnar leg removes the
-// tiny-table aggregation floor so the fixtures here, all far below
-// DefaultColumnarMinRows, still drive the vectorized kernels.
-func runBoth(t *testing.T, db *Database, sql string) (*Result, bool) {
-	t.Helper()
-	exOn := NewExecutor(db)
-	exOn.SetColumnarMinRows(0)
-	on, onErr := exOn.Query(sql)
-	exOff := NewExecutor(db)
-	exOff.SetColumnar(false)
-	off, offErr := exOff.Query(sql)
-	if (onErr == nil) != (offErr == nil) {
-		t.Fatalf("%s: error divergence: columnar=%v row=%v", sql, onErr, offErr)
-	}
-	if onErr != nil {
-		if onErr.Error() != offErr.Error() {
-			t.Fatalf("%s: error text divergence: columnar=%v row=%v", sql, onErr, offErr)
-		}
-		return nil, false
-	}
-	if !reflect.DeepEqual(on, off) {
-		t.Fatalf("%s: result divergence:\ncolumnar: %+v\nrow:      %+v", sql, on, off)
-	}
-	return on, true
-}
-
-// fourLegs runs sql on Run, on Run with the columnar path off, on Run with
-// the tiny-table floor removed and on the plan-less Select, requires the
-// same result from all four, and returns it.
-func fourLegs(t *testing.T, db *Database, sql string) *Result {
+// runLegs runs sql on every leg of resultLegs and requires them to agree:
+// the same error text, or the same result. It returns what they agreed on.
+func runLegs(t *testing.T, db *Database, sql string) (*Result, error) {
 	t.Helper()
 	p, err := Prepare(db, sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	var first *Result
-	for _, leg := range resultLegs(db, p) {
+	var firstErr error
+	for i, leg := range resultLegs(db, p) {
 		res, err := leg.run()
 		switch {
-		case err != nil:
-			t.Fatalf("%s (%s): %v", sql, leg.name, err)
-		case first == nil:
-			first = res
+		case i == 0:
+			first, firstErr = res, err
+		case fmt.Sprint(err) != fmt.Sprint(firstErr):
+			t.Fatalf("%s (%s): error %v, run gave %v", sql, leg.name, err, firstErr)
 		case !reflect.DeepEqual(res, first):
-			t.Fatalf("%s (%s): %v, run gave %v", sql, leg.name, res.Rows, first.Rows)
+			t.Fatalf("%s (%s): %+v, run gave %+v", sql, leg.name, res, first)
 		}
 	}
-	return first
+	return first, firstErr
 }
 
 // TestGroupByIntegersFloat64CannotTellApart groups a key column holding
@@ -72,7 +45,7 @@ func TestGroupByIntegersFloat64CannotTellApart(t *testing.T) {
 	}
 	g, _ := db.Table("g")
 	m, _ := db.Table("m")
-	for i := 0; i < 2*DefaultColumnarMinRows; i++ {
+	for i := 0; i < 256; i++ {
 		g.Rows = append(g.Rows, []Value{Int(1<<53 + int64(i%2))})
 		// DDL coerces by column type: patch an int into the REAL column.
 		mv := Float(1 << 53)
@@ -81,19 +54,19 @@ func TestGroupByIntegersFloat64CannotTellApart(t *testing.T) {
 		}
 		m.Rows = append(m.Rows, []Value{mv})
 	}
-	n := Int(DefaultColumnarMinRows)
+	n := Int(128)
 	for tbl, want := range map[string][][]Value{
 		"g": {{Int(1 << 53), n}, {Int(1<<53 + 1), n}},
 		"m": {{Int(1<<53 + 1), n}, {Float(1 << 53), n}},
 	} {
 		sql := "SELECT k, COUNT(*) FROM " + tbl + " GROUP BY k"
 		h0, _ := db.ColumnarStats()
-		res := fourLegs(t, db, sql)
-		if h1, _ := db.ColumnarStats(); h1 != h0+2 {
-			t.Errorf("%s: %d columnar hits, want 2 (run and no floor)", sql, h1-h0)
+		res, err := runLegs(t, db, sql)
+		if h1, _ := db.ColumnarStats(); h1 != h0+1 {
+			t.Errorf("%s: %d columnar hits, want 1", sql, h1-h0)
 		}
-		if !reflect.DeepEqual(res.Rows, want) {
-			t.Errorf("%s: %v, want %v", sql, res.Rows, want)
+		if err != nil || !reflect.DeepEqual(res.Rows, want) {
+			t.Errorf("%s: %+v (err %v), want %v", sql, res, err, want)
 		}
 	}
 }
@@ -146,7 +119,7 @@ func TestColumnarParity(t *testing.T) {
 		"SELECT SUM(name) FROM singer",
 	}
 	for _, q := range queries {
-		runBoth(t, db, q)
+		runLegs(t, db, q)
 	}
 	hits, falls := db.ColumnarStats()
 	if hits == 0 {
@@ -193,7 +166,7 @@ INSERT INTO e (id) VALUES (2);
 		"SELECT t.id, e.id FROM t JOIN e ON t.id = e.x",
 	}
 	for _, q := range queries {
-		runBoth(t, db, q)
+		runLegs(t, db, q)
 	}
 }
 
@@ -229,82 +202,33 @@ func TestColumnarQualification(t *testing.T) {
 	}
 }
 
+// TestColumnarCounters checks what a default executor counts on the six-row
+// singer table: aggregated and scan statements are hits at any table size,
+// an unqualified statement is a fallback, and a disabled executor counts
+// nothing.
 func TestColumnarCounters(t *testing.T) {
 	db := testDB(t)
-	h0, f0 := db.ColumnarStats()
-	exAll := NewExecutor(db)
-	exAll.SetColumnarMinRows(0)
-	if _, err := exAll.Query("SELECT COUNT(*) FROM singer"); err != nil {
-		t.Fatal(err)
-	}
-	h1, f1 := db.ColumnarStats()
-	if h1 != h0+1 || f1 != f0 {
-		t.Fatalf("expected a hit: hits %d->%d fallbacks %d->%d", h0, h1, f0, f1)
-	}
-	// The same aggregate on a default executor falls back: singer sits far
-	// below DefaultColumnarMinRows.
-	mustQuery(t, db, "SELECT COUNT(*) FROM singer")
-	hm, fm := db.ColumnarStats()
-	if hm != h1 || fm != f1+1 {
-		t.Fatalf("expected a tiny-table fallback: hits %d->%d fallbacks %d->%d", h1, hm, f1, fm)
-	}
-	mustQuery(t, db, "SELECT name FROM singer UNION SELECT name FROM stadium")
-	h2, f2 := db.ColumnarStats()
-	if h2 != hm || f2 != fm+1 {
-		t.Fatalf("expected a fallback: hits %d->%d fallbacks %d->%d", hm, h2, fm, f2)
-	}
-	// A disabled executor counts nothing.
-	ex := NewExecutor(db)
-	ex.SetColumnar(false)
-	if _, err := ex.Query("SELECT COUNT(*) FROM singer"); err != nil {
-		t.Fatal(err)
-	}
-	h3, f3 := db.ColumnarStats()
-	if h3 != h2 || f3 != f2 {
-		t.Fatalf("disabled executor moved counters: hits %d->%d fallbacks %d->%d", h2, h3, f2, f3)
-	}
-}
-
-// TestColumnarMinRows pins the tiny-table aggregation floor: aggregated
-// statements vectorize at DefaultColumnarMinRows rows and fall back one row
-// under it, scans vectorize at any size, and SetColumnarMinRows(0) removes
-// the floor — with identical results on every path.
-func TestColumnarMinRows(t *testing.T) {
-	db := NewDatabase("d")
-	if err := db.LoadScript("CREATE TABLE big (id INT, grp TEXT);\nCREATE TABLE small (id INT, grp TEXT);"); err != nil {
-		t.Fatal(err)
-	}
-	fill := func(name string, rows int) {
-		tbl, _ := db.Table(name)
-		for i := 0; i < rows; i++ {
-			tbl.Rows = append(tbl.Rows, []Value{Int(int64(i)), Text(fmt.Sprintf("g%d", i%7))})
-		}
-	}
-	fill("big", DefaultColumnarMinRows)
-	fill("small", DefaultColumnarMinRows-1)
-	agg := "SELECT grp, COUNT(*) FROM %s GROUP BY grp ORDER BY grp"
-	scan := "SELECT id FROM %s WHERE id >= 3"
-	check := func(ex *Executor, sql string, wantHit bool) {
-		t.Helper()
+	off := NewExecutor(db)
+	off.SetColumnar(false)
+	for _, tc := range []struct {
+		ex              *Executor
+		sql             string
+		hits, fallbacks int64
+	}{
+		{NewExecutor(db), "SELECT COUNT(*) FROM singer", 1, 0},
+		{NewExecutor(db), "SELECT country, COUNT(*) FROM singer GROUP BY country", 1, 0},
+		{NewExecutor(db), "SELECT name FROM singer WHERE age > 30", 1, 0},
+		{NewExecutor(db), "SELECT name FROM singer UNION SELECT name FROM stadium", 0, 1},
+		{off, "SELECT COUNT(*) FROM singer", 0, 0},
+	} {
 		h0, f0 := db.ColumnarStats()
-		if _, err := ex.Query(sql); err != nil {
+		if _, err := tc.ex.Query(tc.sql); err != nil {
 			t.Fatal(err)
 		}
 		h1, f1 := db.ColumnarStats()
-		if hit := h1 == h0+1 && f1 == f0; hit != wantHit {
-			t.Errorf("%s: columnar hit=%v, want %v", sql, hit, wantHit)
+		if h1-h0 != tc.hits || f1-f0 != tc.fallbacks {
+			t.Errorf("%s: hits +%d fallbacks +%d, want +%d +%d", tc.sql, h1-h0, f1-f0, tc.hits, tc.fallbacks)
 		}
-	}
-	ex := NewExecutor(db)
-	check(ex, fmt.Sprintf(agg, "big"), true)
-	check(ex, fmt.Sprintf(agg, "small"), false)
-	check(ex, fmt.Sprintf(scan, "big"), true)
-	check(ex, fmt.Sprintf(scan, "small"), true)
-	exAll := NewExecutor(db)
-	exAll.SetColumnarMinRows(0)
-	check(exAll, fmt.Sprintf(agg, "small"), true)
-	for _, tbl := range []string{"big", "small"} {
-		runBoth(t, db, fmt.Sprintf(agg, tbl))
 	}
 }
 
@@ -348,7 +272,7 @@ func TestColumnarLimitParity(t *testing.T) {
 		"SELECT name FROM singer LIMIT 2 OFFSET 100",
 		"SELECT name FROM singer WHERE age > 1000 LIMIT 3",
 	} {
-		runBoth(t, db, q)
+		runLegs(t, db, q)
 	}
 }
 
@@ -356,7 +280,7 @@ func TestColumnarLimitParity(t *testing.T) {
 // stages succeed and whose shared tail then errors — in the select list, in
 // HAVING, in an ORDER BY key or in LIMIT — aggregated or not, on one table
 // and on a join. The error is returned as is, so every leg must give the
-// same text, and the columnar legs count a hit, not a fallback.
+// same text, and Run counts a hit, not a fallback.
 func TestTailErrorsAfterVectorizedStages(t *testing.T) {
 	db := NewDatabase("tail")
 	if err := db.LoadScript("CREATE TABLE big (id INT, name TEXT, grp INT); CREATE TABLE other (id INT, label TEXT);"); err != nil {
@@ -364,7 +288,7 @@ func TestTailErrorsAfterVectorizedStages(t *testing.T) {
 	}
 	big, _ := db.Table("big")
 	other, _ := db.Table("other")
-	for i := 0; i < 2*DefaultColumnarMinRows; i++ {
+	for i := 0; i < 256; i++ {
 		big.Rows = append(big.Rows, []Value{Int(int64(i)), Text(fmt.Sprintf("n%d", i)), Int(int64(i % 5))})
 		if i%2 == 0 {
 			other.Rows = append(other.Rows, []Value{Int(int64(i)), Text(fmt.Sprintf("l%d", i%3))})
@@ -393,33 +317,14 @@ func TestTailErrorsAfterVectorizedStages(t *testing.T) {
 		{"SELECT o.label, COUNT(*)" + join + " GROUP BY o.label ORDER BY b.name + 1", arith},
 		{"SELECT o.label, MIN(b.name)" + join + " GROUP BY o.label" + limitBad, tooMany},
 	} {
-		p, err := Prepare(db, tc.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.sql, err)
+		h0, f0 := db.ColumnarStats()
+		_, err := runLegs(t, db, tc.sql)
+		h1, f1 := db.ColumnarStats()
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("%s: got %v, want %q", tc.sql, err, tc.err)
 		}
-		off := NewExecutor(db)
-		off.SetColumnar(false)
-		unfloored := NewExecutor(db)
-		unfloored.SetColumnarMinRows(0)
-		for _, leg := range []struct {
-			name     string
-			run      func() (*Result, error)
-			columnar bool
-		}{
-			{"run", func() (*Result, error) { return NewExecutor(db).Run(p) }, true},
-			{"columnar off", func() (*Result, error) { return off.Run(p) }, false},
-			{"no floor", func() (*Result, error) { return unfloored.Run(p) }, true},
-			{"select", func() (*Result, error) { return NewExecutor(db).Select(p.Stmt) }, false},
-		} {
-			h0, f0 := db.ColumnarStats()
-			_, err := leg.run()
-			h1, f1 := db.ColumnarStats()
-			if err == nil || err.Error() != tc.err {
-				t.Errorf("%s (%s): got %v, want %q", tc.sql, leg.name, err, tc.err)
-			}
-			if leg.columnar && (h1 != h0+1 || f1 != f0) {
-				t.Errorf("%s (%s): hits %d->%d, fallbacks %d->%d; want one hit", tc.sql, leg.name, h0, h1, f0, f1)
-			}
+		if h1 != h0+1 || f1 != f0 {
+			t.Errorf("%s: hits %d->%d, fallbacks %d->%d; want one hit", tc.sql, h0, h1, f0, f1)
 		}
 	}
 }
