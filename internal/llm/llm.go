@@ -16,6 +16,9 @@ import (
 	"errors"
 	"sync"
 	"unicode"
+	"unicode/utf8"
+
+	"fisql/internal/schema"
 )
 
 // Request is one chat-completion call.
@@ -44,9 +47,29 @@ var ErrEmptyPrompt = errors.New("llm: empty prompt")
 // only needs to be monotone in text length for the accounting benchmarks.
 func CountTokens(text string) int {
 	// Counts exactly what len(strings.Fields(text)) would, without
-	// materializing the field slice for every prompt.
+	// materializing the field slice for every prompt: a byte loop while the
+	// text is ASCII, and at the first byte that is not, the rune loop over
+	// the rest, carrying whether a field is open.
 	n := 0
 	inField := false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return n + countTokensRunes(text[i:], inField)
+		}
+		space := schema.IsASCIISpace(c)
+		if !space && !inField {
+			n++
+		}
+		inField = !space
+	}
+	return n
+}
+
+// countTokensRunes counts the fields of text that start in it, given
+// whether a field was already open where it begins.
+func countTokensRunes(text string, inField bool) int {
+	n := 0
 	for _, r := range text {
 		if unicode.IsSpace(r) {
 			inField = false

@@ -38,6 +38,11 @@ type Sim struct {
 	// re-normalize the whole corpus on every rewritten-question lookup.
 	byContain []containEntry
 	lexByDB   map[string]*schema.Lexicon
+	// norm maps every text the Sim knows it will normalize — example
+	// questions, trap phrases and pool demonstration questions — to its
+	// schema.Normalize form, so a turn normalizes only text it has not
+	// seen: rewritten questions and demonstrations folded in online.
+	norm map[string]string
 }
 
 type resolved struct {
@@ -57,20 +62,45 @@ func NewSim(worlds ...*dataset.Dataset) *Sim {
 		worlds:     worlds,
 		byQuestion: make(map[string]resolved),
 		lexByDB:    make(map[string]*schema.Lexicon),
+		norm:       make(map[string]string),
 	}
 	for _, w := range worlds {
 		for _, e := range w.Examples {
 			r := resolved{ds: w, ex: e}
-			s.byQuestion[schema.Normalize(e.Question)] = r
+			s.byQuestion[s.learn(e.Question)] = r
 			if trimmed := strings.TrimRight(e.Question, "?. "); trimmed != "" {
 				s.byContain = append(s.byContain, containEntry{norm: schema.Normalize(trimmed), r: r})
 			}
+			for _, t := range e.Traps {
+				s.learn(t.Phrase)
+			}
+		}
+		for _, d := range w.Demos {
+			s.learn(d.Question)
 		}
 		for db, lx := range w.Lexicons {
 			s.lexByDB[db] = lx
 		}
 	}
 	return s
+}
+
+// learn records text's normalized form in s.norm and returns it.
+func (s *Sim) learn(text string) string {
+	n, ok := s.norm[text]
+	if !ok {
+		n = schema.Normalize(text)
+		s.norm[text] = n
+	}
+	return n
+}
+
+// normalize is schema.Normalize, answered from s.norm for known text.
+func (s *Sim) normalize(text string) string {
+	if n, ok := s.norm[text]; ok {
+		return n
+	}
+	return schema.Normalize(text)
 }
 
 // Complete implements Client.
@@ -87,7 +117,7 @@ func (s *Sim) Complete(_ context.Context, req Request) (Response, error) {
 	case prompt.KindRouting:
 		text = feedback.ClassifyRouted(p.Feedback).String()
 	case prompt.KindRewrite:
-		text = fmt.Sprintf("%s (%s)", strings.TrimRight(p.Question, "?. "), p.Feedback)
+		text = strings.TrimRight(p.Question, "?. ") + " (" + p.Feedback + ")"
 	case prompt.KindRepair:
 		text = s.repair(p)
 	default:
@@ -120,7 +150,7 @@ func (s *Sim) CompleteBatch(ctx context.Context, reqs []Request) ([]BatchResult,
 // resolve finds the corpus example behind a question: exact match first,
 // then containment (a rewritten question embeds the original).
 func (s *Sim) resolve(question string) (resolved, bool, bool) {
-	key := schema.Normalize(question)
+	key := s.normalize(question)
 	if r, ok := s.byQuestion[key]; ok {
 		return r, false, true
 	}
@@ -146,9 +176,15 @@ func (s *Sim) generate(p *prompt.Parsed) string {
 		return "SELECT NULL -- question not understood"
 	}
 	e := r.ex
-	demoNorms := make([]string, len(p.Demos))
-	for i, d := range p.Demos {
-		demoNorms[i] = schema.Normalize(d.Question)
+	var demoNorms []string // read only by a trap with a phrase
+	for _, t := range e.Traps {
+		if t.Phrase != "" {
+			demoNorms = make([]string, len(p.Demos))
+			for i, d := range p.Demos {
+				demoNorms[i] = s.normalize(d.Question)
+			}
+			break
+		}
 	}
 	var mask uint8
 	for i, t := range e.Traps {
@@ -170,7 +206,7 @@ func (s *Sim) trapAvoided(t dataset.Trap, demoNorms []string, rewritten bool) bo
 	// An in-context demonstration using the ambiguous phrase shows the
 	// correct reading (the same containment rule as dataset.ContainsPhrase).
 	if t.Phrase != "" {
-		np := schema.Normalize(t.Phrase)
+		np := s.normalize(t.Phrase)
 		for _, nd := range demoNorms {
 			if strings.Contains(nd, np) {
 				return true

@@ -20,7 +20,7 @@ var (
 	simErr  error
 )
 
-func getSim(t *testing.T) (*Sim, *dataset.Dataset, *dataset.Dataset) {
+func getSim(t testing.TB) (*Sim, *dataset.Dataset, *dataset.Dataset) {
 	t.Helper()
 	simOnce.Do(func() {
 		simDS, simErr = spider.Build()

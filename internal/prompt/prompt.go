@@ -6,6 +6,9 @@
 // The same package owns parsing because the simulated LLM must understand
 // exactly the prompts the pipeline produces — like a real API, it sees only
 // text, and this package is the single source of truth for the layout.
+//
+// Every builder sizes its output before writing it, so a prompt is one
+// allocation; Parse reads a prompt once and returns substrings of it.
 package prompt
 
 import (
@@ -32,6 +35,15 @@ const (
 	markRouting     = "Classify the user feedback into one of the operation types: Add, Remove, Edit."
 	markRewriteTask = "Rewrite the user question so that it also reflects the feedback."
 	markFinal       = "SQL:"
+)
+
+// Fixed framing of the routed demonstrations and of the two short prompts.
+const (
+	routedDemosTail = " updates to SQL queries based on feedback:\n"
+	routingTail     = "\nType:"
+	rewriteHead     = markRewriteTask + "\n\n" + markQuestion + " "
+	rewriteFeedback = "\nFeedback: "
+	rewriteTail     = "\nNew question:"
 )
 
 // Instructions is the generic task instruction block (Figure 1's skeleton).
@@ -62,35 +74,58 @@ func schemaText(s *schema.Schema) string {
 	return text
 }
 
+// headLen is the length of what writeHead writes.
+func headLen(st string, demos []Demo) int {
+	n := len(Instructions) + len("\n\n"+markSchema+"\n") + len(st)
+	if len(demos) > 0 {
+		n += len("\n" + markDemos + "\n")
+		for _, d := range demos {
+			n += len("Q: \nSQL: \n") + len(d.Question) + len(d.SQL)
+		}
+	}
+	return n
+}
+
+// writeHead writes what the NL2SQL and repair prompts share: instructions,
+// full schema and the retrieved demonstrations, if any.
+func writeHead(sb *strings.Builder, st string, demos []Demo) {
+	sb.WriteString(Instructions + "\n\n" + markSchema + "\n")
+	sb.WriteString(st)
+	if len(demos) > 0 {
+		sb.WriteString("\n" + markDemos + "\n")
+		for _, d := range demos {
+			writeDemo(sb, d)
+		}
+	}
+}
+
+// writeDemo writes one retrieved demonstration.
+func writeDemo(sb *strings.Builder, d Demo) {
+	sb.WriteString("Q: ")
+	sb.WriteString(d.Question)
+	sb.WriteString("\nSQL: ")
+	sb.WriteString(d.SQL)
+	sb.WriteString("\n")
+}
+
+// writeLine writes prefix, value and a newline.
+func writeLine(sb *strings.Builder, prefix, value string) {
+	sb.WriteString(prefix)
+	sb.WriteString(value)
+	sb.WriteString("\n")
+}
+
 // NL2SQL builds the generation prompt: instructions, full schema, optional
 // retrieved demonstrations, and the question. With no demos this is the
 // zero-shot prompt of Figure 1.
 func NL2SQL(s *schema.Schema, demos []Demo, question string) string {
-	var sb strings.Builder
-	// Pre-size to the known components so the hot serving path builds the
-	// prompt in one allocation instead of log(n) growth copies. The slack
-	// constant covers markers, separators and per-demo framing.
 	st := schemaText(s)
-	n := len(Instructions) + len(st) + len(question) + 128
-	for _, d := range demos {
-		n += len(d.Question) + len(d.SQL) + 16
-	}
-	sb.Grow(n)
-	sb.WriteString(Instructions)
-	sb.WriteString("\n\n")
-	sb.WriteString(markSchema)
-	sb.WriteString("\n")
-	sb.WriteString(st)
-	if len(demos) > 0 {
-		sb.WriteString("\n")
-		sb.WriteString(markDemos)
-		sb.WriteString("\n")
-		for _, d := range demos {
-			fmt.Fprintf(&sb, "Q: %s\nSQL: %s\n", d.Question, d.SQL)
-		}
-	}
-	sb.WriteString("\n")
-	fmt.Fprintf(&sb, "%s %s\n%s", markQuestion, question, markFinal)
+	var sb strings.Builder
+	sb.Grow(headLen(st, demos) + len("\n"+markQuestion+" \n"+markFinal) + len(question))
+	writeHead(&sb, st, demos)
+	sb.WriteString("\n" + markQuestion + " ")
+	sb.WriteString(question)
+	sb.WriteString("\n" + markFinal)
 	return sb.String()
 }
 
@@ -99,65 +134,68 @@ func NL2SQL(s *schema.Schema, demos []Demo, question string) string {
 // repair demonstrations (Figure 5) and a highlight.
 func Repair(s *schema.Schema, demos []Demo, routed []feedback.RepairDemo, routedOp *dataset.Op,
 	question, prevSQL, fbText string, hl *feedback.Highlight) string {
-	var sb strings.Builder
-	sb.WriteString(Instructions)
-	sb.WriteString("\n\n")
-	sb.WriteString(markSchema)
-	sb.WriteString("\n")
-	sb.WriteString(schemaText(s))
-	if len(demos) > 0 {
-		sb.WriteString("\n")
-		sb.WriteString(markDemos)
-		sb.WriteString("\n")
-		for _, d := range demos {
-			fmt.Fprintf(&sb, "Q: %s\nSQL: %s\n", d.Question, d.SQL)
-		}
-	}
+	st := schemaText(s)
+	n := headLen(st, demos) + len(question) + len(prevSQL) + len(fbText) +
+		len("\n"+markTask+"\n"+markQuestion+" \n"+markPrevQuery+" \n"+markFeedback+"\n\n"+markRewriteTail+"\n"+markPrevQuery)
 	if routedOp != nil {
-		fmt.Fprintf(&sb, "\n%s %s updates to SQL queries based on feedback:\n", markRepairDemos, routedOp.String())
+		n += len("\n"+markRepairDemos+" "+routedDemosTail) + len(routedOp.String())
 		for _, d := range routed {
-			fmt.Fprintf(&sb, "Question: %s\nQuery: %s\nFeedback: %s\nUpdated query: %s\n",
-				d.Question, d.Original, d.Feedback, d.Updated)
+			n += len("Question: \nQuery: \nFeedback: \nUpdated query: \n") +
+				len(d.Question) + len(d.Original) + len(d.Feedback) + len(d.Updated)
 		}
 	}
-	sb.WriteString("\n")
-	sb.WriteString(markTask)
-	sb.WriteString("\n")
-	fmt.Fprintf(&sb, "%s %s\n", markQuestion, question)
-	fmt.Fprintf(&sb, "%s %s\n", markPrevQuery, prevSQL)
-	fmt.Fprintf(&sb, "%s\n%s\n", markFeedback, fbText)
 	if hl != nil {
-		fmt.Fprintf(&sb, "%s\n%s\n", markHighlight, hl.Text)
+		n += len(markHighlight+"\n\n") + len(hl.Text)
 	}
-	fmt.Fprintf(&sb, "%s\n%s", markRewriteTail, markPrevQuery)
+	var sb strings.Builder
+	sb.Grow(n)
+	writeHead(&sb, st, demos)
+	if routedOp != nil {
+		sb.WriteString("\n" + markRepairDemos + " ")
+		sb.WriteString(routedOp.String())
+		sb.WriteString(routedDemosTail)
+		for _, d := range routed {
+			writeLine(&sb, "Question: ", d.Question)
+			writeLine(&sb, "Query: ", d.Original)
+			writeLine(&sb, "Feedback: ", d.Feedback)
+			writeLine(&sb, "Updated query: ", d.Updated)
+		}
+	}
+	sb.WriteString("\n" + markTask + "\n")
+	writeLine(&sb, markQuestion+" ", question)
+	writeLine(&sb, markPrevQuery+" ", prevSQL)
+	writeLine(&sb, markFeedback+"\n", fbText)
+	if hl != nil {
+		writeLine(&sb, markHighlight+"\n", hl.Text)
+	}
+	sb.WriteString(markRewriteTail + "\n" + markPrevQuery)
 	return sb.String()
 }
 
-// Routing builds the feedback-type identification prompt. Demonstrations
-// are emitted in fixed operation order so the prompt bytes are
-// deterministic.
-func Routing(fbText string) string {
+// routingHead is the fixed part of every routing prompt, up to the feedback
+// to classify. Demonstrations are emitted in fixed operation order so the
+// prompt bytes are deterministic.
+var routingHead = sync.OnceValue(func() string {
 	var sb strings.Builder
-	sb.WriteString(markRouting)
-	sb.WriteString("\n\n")
+	sb.WriteString(markRouting + "\n\n")
 	examples := feedback.TaxonomyExamples()
 	for _, op := range []dataset.Op{dataset.OpAdd, dataset.OpRemove, dataset.OpEdit} {
-		fmt.Fprintf(&sb, "Feedback: %s\nType: %s\n", examples[op], op)
+		writeLine(&sb, "Feedback: ", examples[op])
+		writeLine(&sb, "Type: ", op.String())
 	}
-	fmt.Fprintf(&sb, "\nFeedback: %s\nType:", fbText)
+	sb.WriteString("\nFeedback: ")
 	return sb.String()
+})
+
+// Routing builds the feedback-type identification prompt.
+func Routing(fbText string) string {
+	return routingHead() + fbText + routingTail
 }
 
 // Rewrite builds the query-rewrite baseline prompt: paraphrase question +
 // feedback into a new standalone question.
 func Rewrite(question, fbText string) string {
-	var sb strings.Builder
-	sb.WriteString(markRewriteTask)
-	sb.WriteString("\n\n")
-	fmt.Fprintf(&sb, "%s %s\n", markQuestion, question)
-	fmt.Fprintf(&sb, "Feedback: %s\n", fbText)
-	sb.WriteString("New question:")
-	return sb.String()
+	return rewriteHead + question + rewriteFeedback + fbText + rewriteTail
 }
 
 // ----------------------------------------------------------------------------
@@ -189,95 +227,134 @@ type Parsed struct {
 	SchemaName string
 }
 
-// Parse decodes a prompt built by this package.
+// Parse decodes a prompt built by this package. It reads the prompt once,
+// a line at a time from a cursor.
+//
+// Feedback and highlights are free text. In a repair prompt, every line of
+// the feedback section up to the exact highlight or closing marker line is
+// feedback, and every line of the highlight section up to the closing
+// marker is the highlight, whatever it looks like. In a routing or rewrite
+// prompt the feedback is everything between the fixed header and the fixed
+// tail. Free text is read as its lines, trimmed, with blank lines dropped,
+// joined by single spaces.
 func Parse(text string) (*Parsed, error) {
 	switch {
 	case strings.HasPrefix(text, markRouting):
-		// The feedback to classify is the last "Feedback:" line.
-		lines := strings.Split(text, "\n")
-		for i := len(lines) - 1; i >= 0; i-- {
-			if f, ok := strings.CutPrefix(lines[i], "Feedback: "); ok {
-				return &Parsed{Kind: KindRouting, Feedback: strings.TrimSpace(f)}, nil
-			}
+		fb, ok := between(text, routingHead(), routingTail)
+		if !ok {
+			return nil, fmt.Errorf("routing prompt without feedback line")
 		}
-		return nil, fmt.Errorf("routing prompt without feedback line")
+		return &Parsed{Kind: KindRouting, Feedback: joinLines(fb)}, nil
 	case strings.HasPrefix(text, markRewriteTask):
-		p := &Parsed{Kind: KindRewrite}
-		for _, line := range strings.Split(text, "\n") {
-			if q, ok := strings.CutPrefix(line, markQuestion+" "); ok {
-				p.Question = strings.TrimSpace(q)
-			}
-			if f, ok := strings.CutPrefix(line, "Feedback: "); ok {
-				p.Feedback = strings.TrimSpace(f)
-			}
-		}
-		if p.Question == "" {
+		body, ok := between(text, rewriteHead, rewriteTail)
+		q, fb, found := strings.Cut(body, rewriteFeedback)
+		p := &Parsed{Kind: KindRewrite, Question: strings.TrimSpace(q), Feedback: joinLines(fb)}
+		if !ok || !found || p.Question == "" {
 			return nil, fmt.Errorf("rewrite prompt without question")
 		}
 		return p, nil
 	}
 
 	p := &Parsed{Kind: KindNL2SQL}
-	lines := strings.Split(text, "\n")
-	inDemos, inRouted, inHighlight, inFeedback := false, false, false, false
-	for i := 0; i < len(lines); i++ {
-		line := lines[i]
+	inDemos, inRouted := false, false
+	var hlText string
+	// free is the feedback or highlight text whose section is open (nil
+	// outside both); the section runs from byte freeAt to the line that
+	// closes it.
+	var free *string
+	freeAt := 0
+	for rest := text; rest != ""; {
+		at := len(text) - len(rest)
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if free != nil {
+			if line != markRewriteTail && (line != markHighlight || free == &hlText) {
+				continue
+			}
+			*free = joinLines(text[freeAt:at])
+			free = nil
+		}
 		switch {
 		case line == markDemos:
 			inDemos, inRouted = true, false
-		case strings.HasPrefix(line, markRepairDemos):
-			inDemos, inRouted = false, true
-			for _, opName := range []string{"Add", "Remove", "Edit"} {
-				if strings.Contains(line, " "+opName+" ") {
-					if op, ok := dataset.ParseOp(opName); ok {
-						p.RoutedOp = &op
-					}
-				}
-			}
 		case line == markTask:
 			inDemos, inRouted = false, false
 		case line == markFeedback:
 			p.Kind = KindRepair
-			inFeedback = true
-			inDemos, inRouted, inHighlight = false, false, false
+			inDemos, inRouted = false, false
+			free, freeAt = &p.Feedback, len(text)-len(rest)
 		case line == markHighlight:
-			inHighlight = true
-			inFeedback = false
-		case line == markRewriteTail:
-			inHighlight, inFeedback = false, false
+			free, freeAt = &hlText, len(text)-len(rest)
+		case strings.HasPrefix(line, markRepairDemos+" "):
+			inDemos, inRouted = false, true
+			name, _, _ := strings.Cut(line[len(markRepairDemos)+1:], " ")
+			if op, ok := dataset.ParseOp(name); ok {
+				p.RoutedOp = &op
+			}
 		case strings.HasPrefix(line, "Database: "):
 			if p.SchemaName == "" {
-				p.SchemaName = strings.TrimSpace(strings.TrimPrefix(line, "Database: "))
+				p.SchemaName = strings.TrimSpace(line[len("Database: "):])
 			}
 		case strings.HasPrefix(line, markQuestion+" "):
-			q := strings.TrimSpace(strings.TrimPrefix(line, markQuestion))
-			if inRouted {
-				continue // demonstration questions are not the task question
+			if !inRouted { // demonstration questions are not the task question
+				p.Question = strings.TrimSpace(line[len(markQuestion):])
 			}
-			p.Question = q
 		case strings.HasPrefix(line, markPrevQuery+" "):
-			if inRouted {
-				continue
+			if !inRouted {
+				p.PrevSQL = strings.TrimSpace(line[len(markPrevQuery):])
 			}
-			p.PrevSQL = strings.TrimSpace(strings.TrimPrefix(line, markPrevQuery))
 		case inDemos && strings.HasPrefix(line, "Q: "):
-			d := Demo{Question: strings.TrimPrefix(line, "Q: ")}
-			if i+1 < len(lines) && strings.HasPrefix(lines[i+1], "SQL: ") {
-				d.SQL = strings.TrimPrefix(lines[i+1], "SQL: ")
-				i++
+			d := Demo{Question: line[len("Q: "):]}
+			if next, after, _ := strings.Cut(rest, "\n"); strings.HasPrefix(next, "SQL: ") {
+				d.SQL = next[len("SQL: "):]
+				rest = after
+			}
+			if p.Demos == nil {
+				p.Demos = make([]Demo, 0, strings.Count(rest, "\nQ: ")+1)
 			}
 			p.Demos = append(p.Demos, d)
-		case inFeedback && strings.TrimSpace(line) != "":
-			if p.Feedback != "" {
-				p.Feedback += " "
-			}
-			p.Feedback += strings.TrimSpace(line)
-		case inHighlight && strings.TrimSpace(line) != "":
-			p.Highlight = &feedback.Highlight{Text: strings.TrimSpace(line)}
 		}
+	}
+	if free != nil {
+		*free = joinLines(text[freeAt:])
+	}
+	if hlText != "" {
+		p.Highlight = &feedback.Highlight{Text: hlText}
 	}
 	if p.Question == "" {
 		return nil, fmt.Errorf("prompt without question")
 	}
 	return p, nil
+}
+
+// between returns what text holds between head and tail.
+func between(text, head, tail string) (string, bool) {
+	body, ok := strings.CutPrefix(text, head)
+	if !ok {
+		return "", false
+	}
+	return strings.CutSuffix(body, tail)
+}
+
+// joinLines reads a free-text section: each line trimmed, blank lines
+// dropped, the rest joined by one space. Text that is one line after
+// trimming comes back as a substring of s.
+func joinLines(s string) string {
+	s = strings.TrimSpace(s)
+	if !strings.Contains(s, "\n") {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for s != "" {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		if line = strings.TrimSpace(line); line != "" {
+			if sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(line)
+		}
+	}
+	return sb.String()
 }

@@ -19,12 +19,13 @@ package rag
 import (
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"fisql/internal/dataset"
 )
@@ -91,10 +92,39 @@ func Tokenize(text string) []string {
 	return appendTokens(nil, text)
 }
 
-// appendTokens appends text's tokens to dst. Lowering happens per rune
+// appendTokens appends text's tokens to dst. All-ASCII text is cut in place:
+// a token without an upper-case letter is a substring of text, any other is
+// strings.ToLower of its span. Other text takes appendTokensRunes.
+func appendTokens(dst []string, text string) []string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return appendTokensRunes(dst, text)
+		}
+	}
+	start := -1 // first byte of the open token
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if ('a' <= c && c <= 'z') || ('0' <= c && c <= '9') || ('A' <= c && c <= 'Z') {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			dst = append(dst, strings.ToLower(text[start:i]))
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, strings.ToLower(text[start:]))
+	}
+	return dst
+}
+
+// appendTokensRunes is appendTokens for any text. Lowering happens per rune
 // (identical to strings.ToLower, which applies unicode.ToLower rune-wise)
 // so no lowered copy of the whole text is materialized.
-func appendTokens(dst []string, text string) []string {
+func appendTokensRunes(dst []string, text string) []string {
 	var sb strings.Builder
 	flush := func() {
 		if sb.Len() > 0 {
@@ -234,20 +264,29 @@ func (s *Store) vector(toks []string) []posting {
 }
 
 // vectorInto builds the vector into vec's backing array (the Search
-// scratch); scores are bit-identical to an unpooled build because the
-// postings are sorted before any floating-point accumulation.
+// scratch), or into an exactly sized new one when vec is nil. It sorts toks
+// in place and counts each run of equal terms, so the postings come out
+// sorted by term before any floating-point accumulation and scores are
+// bit-identical to an unpooled build.
 func (s *Store) vectorInto(vec []posting, toks []string) []posting {
-	tf := map[string]float64{}
-	for _, t := range toks {
-		tf[t]++
-	}
+	slices.Sort(toks)
 	if vec == nil {
-		vec = make([]posting, 0, len(tf))
+		distinct := 0
+		for i := range toks {
+			if i == 0 || toks[i] != toks[i-1] {
+				distinct++
+			}
+		}
+		vec = make([]posting, 0, distinct)
 	}
-	for t, c := range tf {
-		vec = append(vec, posting{term: t, w: c})
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
+		}
+		vec = append(vec, posting{term: toks[i], w: float64(j - i)})
+		i = j
 	}
-	sort.Slice(vec, func(i, j int) bool { return vec[i].term < vec[j].term })
 	var norm float64
 	for i := range vec {
 		idf, ok := s.idf[vec[i].term]
@@ -305,6 +344,15 @@ type queryScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
+// release returns the scratch to the pool. Tokens and terms are substrings
+// of the query, so they are cleared first: a pooled scratch must not keep
+// the last query alive.
+func (sc *queryScratch) release() {
+	clear(sc.toks)
+	clear(sc.qv)
+	scratchPool.Put(sc)
+}
+
 // Search returns the top-k demonstrations for the query, restricted to the
 // given database (empty db means no restriction). Ties break by pool order
 // for determinism. k <= 0 returns nil.
@@ -326,7 +374,7 @@ func (s *Store) Search(query, db string, k int) []Result {
 		t0 = time.Now()
 	}
 	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 	sc.toks = appendTokens(sc.toks[:0], query)
 
 	s.mu.RLock()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Column is a table column plus its natural-language surface forms.
@@ -176,9 +177,60 @@ func NewLexicon(s *Schema) *Lexicon {
 	return lx
 }
 
-// Normalize lower-cases and collapses whitespace in a phrase.
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts; every byte from utf8.RuneSelf up is false.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// IsASCIISpace reports whether b is an ASCII byte that unicode.IsSpace
+// accepts. It is false for every byte >= utf8.RuneSelf, so a byte loop that
+// uses it must treat those bytes separately.
+func IsASCIISpace(b byte) bool { return asciiSpace[b] }
+
+// Normalize lower-cases and collapses whitespace in a phrase: it returns
+// strings.Join(strings.Fields(strings.ToLower(phrase)), " "). ASCII input
+// takes a byte pass. While the input is already normalized it copies
+// nothing, so normalized input comes back as itself (less one trailing
+// space, as a substring); from the first byte that is not, it writes one
+// allocation sized for the whole output. A byte >= utf8.RuneSelf takes the
+// definition.
 func Normalize(phrase string) string {
-	return strings.Join(strings.Fields(strings.ToLower(phrase)), " ")
+	i := 0
+	for ; i < len(phrase); i++ {
+		c := phrase[i]
+		if c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' ||
+			asciiSpace[c] && (c != ' ' || i == 0 || phrase[i-1] == ' ') {
+			break
+		}
+	}
+	sep := i > 0 && phrase[i-1] == ' ' // a word ended, so a space is owed before the next one
+	kept := phrase[:i]
+	if sep {
+		kept = phrase[:i-1]
+	}
+	if i == len(phrase) {
+		return kept
+	}
+	var sb strings.Builder
+	sb.Grow(len(phrase))
+	sb.WriteString(kept)
+	for ; i < len(phrase); i++ {
+		c := phrase[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return strings.Join(strings.Fields(strings.ToLower(phrase)), " ")
+		case asciiSpace[c]:
+			sep = sb.Len() > 0
+			continue
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		if sep {
+			sb.WriteByte(' ')
+			sep = false
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
 }
 
 // Add registers one candidate for a phrase (appended after existing ones).
