@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,10 +41,42 @@ type testFactory struct {
 	cache *engine.Cache
 }
 
-func (f *testFactory) NewSession(db string) *core.Session {
-	asst := &assistant.Assistant{Client: f.sim, DS: f.ds, Store: f.store, K: 8, Cache: f.cache}
-	method := &core.FISQL{Client: f.sim, DS: f.ds, Store: f.store, K: 8, Routing: true, Highlights: true}
+func (f *testFactory) NewSession(db string) *core.Session { return f.session(f.sim, db) }
+
+func (f *testFactory) session(client llm.Client, db string) *core.Session {
+	asst := &assistant.Assistant{Client: client, DS: f.ds, Store: f.store, K: 8, Cache: f.cache}
+	method := &core.FISQL{Client: client, DS: f.ds, Store: f.store, K: 8, Routing: true, Highlights: true}
 	return core.NewSession(asst, method, db)
+}
+
+// clientFactory serves the shared corpus through another model client.
+type clientFactory struct {
+	*testFactory
+	client llm.Client
+}
+
+func (f *clientFactory) NewSession(db string) *core.Session { return f.session(f.client, db) }
+
+// llmGate parks the first model call made after arm until release closes,
+// so a test can hold a turn inside apply on its owner, session lock taken.
+// Every other call passes straight through to the simulated model.
+type llmGate struct {
+	inner   llm.Client
+	armed   atomic.Bool
+	held    chan struct{} // closed when a call parks
+	release chan struct{}
+}
+
+func newLLMGate(inner llm.Client) *llmGate {
+	return &llmGate{inner: inner, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *llmGate) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.held)
+		<-g.release
+	}
+	return g.inner.Complete(ctx, req)
 }
 
 func (f *testFactory) Databases() []string {
@@ -141,6 +176,7 @@ type testCluster struct {
 	dir     string
 	members []Member
 	nodes   map[string]*testNode
+	systems map[string]server.SessionFactory
 	router  *Router
 	rts     *httptest.Server
 	client  *http.Client
@@ -153,6 +189,8 @@ type clusterOptions struct {
 	nodeMetrics    bool
 	serverOptions  []server.Option
 	token          string
+	// llm, when set, replaces the simulated model client on every node.
+	llm llm.Client
 }
 
 // newTestCluster brings up n in-process nodes behind a router. The caller
@@ -161,10 +199,14 @@ type clusterOptions struct {
 func newTestCluster(t *testing.T, n int, opts clusterOptions) *testCluster {
 	t.Helper()
 	tc := &testCluster{
-		t:      t,
-		dir:    t.TempDir(),
-		nodes:  map[string]*testNode{},
-		client: &http.Client{Timeout: 30 * time.Second},
+		t:       t,
+		dir:     t.TempDir(),
+		nodes:   map[string]*testNode{},
+		systems: map[string]server.SessionFactory{"aep": factory(t)},
+		client:  &http.Client{Timeout: 30 * time.Second},
+	}
+	if opts.llm != nil {
+		tc.systems["aep"] = &clientFactory{testFactory: factory(t), client: opts.llm}
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("node-%c", 'a'+i)
@@ -192,7 +234,7 @@ func newTestCluster(t *testing.T, n int, opts clusterOptions) *testCluster {
 		tn.node = NewNode(NodeConfig{
 			ID:            m.ID,
 			Members:       tc.members,
-			Systems:       map[string]server.SessionFactory{"aep": factory(t)},
+			Systems:       tc.systems,
 			Journal:       tn.journal,
 			Replica:       tn.replica,
 			Metrics:       tn.metrics,
@@ -224,6 +266,41 @@ func newTestCluster(t *testing.T, n int, opts clusterOptions) *testCluster {
 }
 
 func (tc *testCluster) url() string { return tc.rts.URL }
+
+// spare brings up node id outside the membership, with the membership plus
+// itself as its bootstrap view, ready to join.
+func (tc *testCluster) spare(t *testing.T, id string) (*testNode, Member) {
+	t.Helper()
+	sh := &swapHandler{}
+	ts := httptest.NewServer(sh)
+	m := Member{ID: id, Addr: ts.URL}
+	tn := &testNode{id: id, ts: ts, handler: sh,
+		jpath: filepath.Join(tc.dir, id+".journal"), rpath: filepath.Join(tc.dir, id+".replica")}
+	var err error
+	if tn.journal, err = persist.Open(tn.jpath, persist.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if tn.replica, err = persist.Open(tn.rpath, persist.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tn.node = NewNode(NodeConfig{
+		ID:      id,
+		Members: append(append([]Member(nil), tc.members...), m),
+		Systems: tc.systems,
+		Journal: tn.journal,
+		Replica: tn.replica,
+	})
+	sh.set(tn.node)
+	tc.nodes[id] = tn
+	t.Cleanup(func() {
+		if !tn.killed {
+			ts.Close()
+			tn.journal.Close()
+			tn.replica.Close()
+		}
+	})
+	return tn, m
+}
 
 // ownerOf resolves the current owner node of a session id via the router's
 // live membership — the same placement the router itself uses.
@@ -501,9 +578,7 @@ func TestClusterAddNode(t *testing.T) {
 
 	// Bring up the third node and compute, before the join, which sessions
 	// the new placement will hand it.
-	sh := &swapHandler{}
-	ts := httptest.NewServer(sh)
-	newMember := Member{ID: "node-c", Addr: ts.URL}
+	tn, newMember := tc.spare(t, "node-c")
 	target := append(append([]Member(nil), tc.members...), newMember)
 	wantMoved := 0
 	for _, id := range ids {
@@ -511,33 +586,6 @@ func TestClusterAddNode(t *testing.T) {
 			wantMoved++
 		}
 	}
-	jpath := filepath.Join(tc.dir, "node-c.journal")
-	rpath := filepath.Join(tc.dir, "node-c.replica")
-	j, err := persist.Open(jpath, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := persist.Open(rpath, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := &testNode{id: newMember.ID, ts: ts, handler: sh, journal: j, replica: rep, jpath: jpath, rpath: rpath}
-	tn.node = NewNode(NodeConfig{
-		ID:      newMember.ID,
-		Members: target,
-		Systems: map[string]server.SessionFactory{"aep": factory(t)},
-		Journal: j,
-		Replica: rep,
-	})
-	sh.set(tn.node)
-	tc.nodes[newMember.ID] = tn
-	t.Cleanup(func() {
-		if !tn.killed {
-			ts.Close()
-			j.Close()
-			rep.Close()
-		}
-	})
 
 	code, out := tc.postJSON("/internal/cluster/add", map[string]string{"id": newMember.ID, "addr": newMember.Addr})
 	if code != http.StatusOK {
@@ -813,5 +861,82 @@ func TestMembersStalePushIgnored(t *testing.T) {
 	resp.Body.Close()
 	if st.Version != 20 {
 		t.Errorf("installed version %d, want 20", st.Version)
+	}
+}
+
+// TestRebalanceKeepsInFlightTurn is the regression test for a turn lost in
+// a rebalance: a turn already in flight on the old owner when a drain or a
+// join hands its session off must either reach the new owner or not be
+// acknowledged. The turn is held inside apply on the owner while the
+// rebalance starts, then released.
+func TestRebalanceKeepsInFlightTurn(t *testing.T) {
+	const held = "How many audiences were created in February?"
+	for _, op := range []string{"drain", "add"} {
+		t.Run(op, func(t *testing.T) {
+			gate := newLLMGate(factory(t).sim)
+			n := 3
+			if op == "add" {
+				n = 2
+			}
+			tc := newTestCluster(t, n, clusterOptions{llm: gate})
+			var spare *testNode
+			var joining Member
+			if op == "add" {
+				spare, joining = tc.spare(t, "node-c")
+			}
+			// A session that moves: under a drain every session of the owner
+			// does; under a join, one the new placement gives the new node.
+			var id string
+			for id == "" {
+				id = tc.createSession(t)
+				if op == "add" {
+					if owner, _ := Owner(id, append(append([]Member(nil), tc.members...), joining)); owner.ID != joining.ID {
+						id = ""
+					}
+				}
+			}
+			if code, out := tc.ask(t, id, askQuestion); code != http.StatusOK {
+				t.Fatalf("ask: %d %v", code, out)
+			}
+			owner := tc.ownerOf(id)
+
+			gate.armed.Store(true)
+			rebalanced := make(chan error, 1)
+			go func() {
+				<-gate.held
+				go func() {
+					var err error
+					if op == "drain" {
+						_, err = tc.router.Drain(owner.id)
+					} else {
+						_, err = tc.router.AddNode(joining)
+					}
+					rebalanced <- err
+				}()
+				// Give the rebalance time to reach the held session: a
+				// correct owner blocks it there until the release, a broken
+				// one lets it finish first.
+				time.Sleep(300 * time.Millisecond)
+				close(gate.release)
+			}()
+			code, _ := tc.ask(t, id, held)
+			if err := <-rebalanced; err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			newOwner := tc.ownerOf(id)
+			if newOwner == owner || (spare != nil && newOwner != spare) {
+				t.Fatalf("session %s stayed on %s", id, owner.id)
+			}
+			if code != http.StatusOK {
+				return // never acknowledged, so nothing is owed
+			}
+			hist, err := persisttest.History(tc.client, newOwner.ts.URL, id)
+			if err != nil {
+				t.Fatalf("history on the new owner %s: %v", newOwner.id, err)
+			}
+			if !strings.Contains(string(hist), held) {
+				t.Fatalf("acknowledged turn missing on the new owner %s: %s", newOwner.id, hist)
+			}
+		})
 	}
 }

@@ -472,6 +472,11 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := n.srv.AdoptSessions(recs)
+	if len(res.Adopted) == 0 && res.Skipped > 0 {
+		// The handoff's session could not be adopted: the old owner keeps it.
+		httpError(w, http.StatusInternalServerError, "adopt: session not adopted")
+		return
+	}
 	for _, id := range res.Adopted {
 		// If this node followed the session before becoming its owner, that
 		// replica copy is now redundant: the live copy sits in the own
@@ -488,11 +493,12 @@ type rebalanceMsg struct {
 }
 
 // handleRebalance hands off every owned session whose rendezvous owner
-// under the given target membership is another node: the session's full
-// record set goes to the new owner's adopt endpoint, and only after the
-// new owner confirms is the session released here — journaled as a
-// THandoff naming the target, never a delete, so the journal records a
-// move. Drain is this call with a membership that excludes this node.
+// under the given target membership is another node (server.HandOff): under
+// the session lock, the session's full record set goes to the new owner's
+// adopt endpoint, and only after the new owner confirms is the session
+// released here — journaled as a THandoff naming the target, never a
+// delete, so the journal records a move. Drain is this call with a
+// membership that excludes this node.
 func (n *Node) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	var msg rebalanceMsg
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&msg); err != nil {
@@ -506,15 +512,12 @@ func (n *Node) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		if !ok || owner.ID == n.id {
 			continue
 		}
-		recs := n.journal.SessionRecords(id)
-		if recs == nil {
-			continue
-		}
-		if err := n.postFrames(owner, "/internal/adopt", persist.EncodeFrames(recs)); err != nil {
+		if !n.srv.HandOff(id, owner.ID, func(recs []persist.Record) error {
+			return n.postFrames(owner, "/internal/adopt", persist.EncodeFrames(recs))
+		}) {
 			failed = append(failed, id)
 			continue
 		}
-		n.srv.ReleaseSession(id, owner.ID)
 		moved++
 	}
 	n.handoffsOut.Add(int64(moved))

@@ -370,8 +370,8 @@ func (j *Journal) LiveSessions() []string {
 }
 
 // Retain prunes the live-session map to the sessions keep reports true for
-// — the server calls this after replay, when capacity eviction may have
-// dropped sessions the journal still considers live.
+// — the server calls this after replay, which leaves out the sessions over
+// its store cap that the journal still considers live.
 func (j *Journal) Retain(keep func(id string) bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fisql/internal/persist"
 )
@@ -62,18 +64,24 @@ func eventNames(events []sseEvent) []string {
 	return names
 }
 
-// TestCommitFailureMatrix pins what every turn kind leaves behind when its
-// commit fails, for {create, ask, streamed ask, feedback} × {local journal
-// failure, replication failure}: the status (or the streamed ask's terminal
-// error event), the exact error text, whether the session survives, its
-// history, the journal's records for it, and its /events stream.
+// TestCommitFailureMatrix pins what every record kind leaves behind when
+// its commit fails, for {create, ask, streamed ask, feedback, delete,
+// evict, expire, handoff, adopt} × {local journal failure, replication
+// failure}: the answer (an HTTP status and its exact error text, the
+// streamed ask's terminal error event, HandOff's or AdoptSessions' success,
+// or no request at all for evict and expire), whether the session survives,
+// its history, the journal's and the replicator's records for it, and its
+// /events stream.
 //
-// A local failure means the turn never became durable: the session is
-// evicted (a create never registers). A replication failure leaves a turn
-// that is durable here: the session keeps it in its history, its journal
-// and its event stream, and only the response reports the error. A create
-// is the exception: the client retries it under a fresh id, so the node
-// un-journals it instead.
+// A local failure means the record never became durable. A turn's session
+// is evicted (a create never registers); a delete or handoff leaves the
+// session serving, because its state still equals the journal; a session
+// the store dropped by itself ends anyway; an adoption is abandoned. A
+// replication failure leaves a record that is durable here: a turn stays in
+// the history, the journal and the event stream, and only the response
+// reports the error; a delete, eviction, expiry, handoff or adoption goes
+// ahead. A create is the exception: the client retries it under a fresh id,
+// so the node commits a delete after it.
 func TestCommitFailureMatrix(t *testing.T) {
 	f := factory(t)
 	const sid = "s7"
@@ -85,39 +93,71 @@ func TestCommitFailureMatrix(t *testing.T) {
 		}
 		return out
 	}
+	create, ask, fb := persist.TCreate, persist.TAsk, persist.TFeedback
+	del, handoff := persist.TDelete, persist.THandoff
 	cells := []struct {
-		turn  string // create, ask, stream or feedback
+		op    string // create, ask, stream, feedback, delete, evict, expire, handoff or adopt
 		local bool   // local journal failure; otherwise replication failure
+		code  int    // the answer; 200 or 500 for HandOff and AdoptSessions, 0 for no request
 		kept  bool   // the session still serves afterwards
 		turns int    // its history turns afterwards (kept sessions)
 		recs  []persist.Type
-		// events is the session's /events stream, ended by a delete the test
-		// sends (kept sessions); stream is the streamed ask's own events.
+		sent  []persist.Type // the replicator's records for the session
+		// events is the session's /events stream: to its end for a session
+		// that ended, and for a kept one either up to a delete the test
+		// sends or, when the journal is down, the events retained so far.
+		// stream is the streamed ask's own events.
 		events []string
 		stream []string
 	}{
-		{turn: "create", local: true},
-		{turn: "create"},
-		{turn: "ask", local: true, recs: []persist.Type{persist.TCreate}},
-		{turn: "ask", kept: true, turns: 2, recs: []persist.Type{persist.TCreate, persist.TAsk},
+		{op: "create", local: true, code: 500},
+		{op: "create", code: 500, sent: []persist.Type{create, del}},
+		{op: "ask", local: true, code: 500, recs: []persist.Type{create}, sent: []persist.Type{create},
+			events: []string{"open", "delete"}},
+		{op: "ask", code: 500, kept: true, turns: 2, recs: []persist.Type{create, ask}, sent: []persist.Type{create, ask},
 			events: seq([]string{"open"}, answer, []string{"delete"})},
-		{turn: "stream", local: true, recs: []persist.Type{persist.TCreate},
+		{op: "stream", local: true, code: 500, recs: []persist.Type{create}, sent: []persist.Type{create},
+			events: []string{"open", "delete"},
 			stream: []string{"open", "sql", "explanation", "result", "error"}},
-		{turn: "stream", kept: true, turns: 2, recs: []persist.Type{persist.TCreate, persist.TAsk},
+		{op: "stream", code: 500, kept: true, turns: 2, recs: []persist.Type{create, ask}, sent: []persist.Type{create, ask},
 			events: seq([]string{"open"}, answer, []string{"delete"}),
 			stream: []string{"open", "sql", "explanation", "result", "error"}},
-		{turn: "feedback", local: true, recs: []persist.Type{persist.TCreate, persist.TAsk}},
-		{turn: "feedback", kept: true, turns: 4,
-			recs:   []persist.Type{persist.TCreate, persist.TAsk, persist.TFeedback},
+		{op: "feedback", local: true, code: 500, recs: []persist.Type{create, ask}, sent: []persist.Type{create, ask},
+			events: seq([]string{"open"}, answer, []string{"delete"})},
+		{op: "feedback", code: 500, kept: true, turns: 4,
+			recs:   []persist.Type{create, ask, fb},
+			sent:   []persist.Type{create, ask, fb},
 			events: seq([]string{"open"}, answer, []string{"feedback"}, answer, []string{"delete"})},
+		{op: "delete", local: true, code: 500, kept: true, recs: []persist.Type{create}, sent: []persist.Type{create},
+			events: []string{"open"}},
+		{op: "delete", code: 200, sent: []persist.Type{create, del}, events: []string{"open", "delete"}},
+		{op: "evict", local: true, recs: []persist.Type{create}, sent: []persist.Type{create},
+			events: []string{"open", "delete"}},
+		{op: "evict", sent: []persist.Type{create, del}, events: []string{"open", "delete"}},
+		{op: "expire", local: true, recs: []persist.Type{create}, sent: []persist.Type{create},
+			events: []string{"open", "delete"}},
+		{op: "expire", sent: []persist.Type{create, del}, events: []string{"open", "delete"}},
+		{op: "handoff", local: true, code: 500, kept: true, recs: []persist.Type{create}, sent: []persist.Type{create},
+			events: []string{"open"}},
+		{op: "handoff", code: 200, sent: []persist.Type{create, handoff}, events: []string{"open"}},
+		{op: "adopt", local: true, code: 500},
+		{op: "adopt", code: 200, kept: true, turns: 2, recs: []persist.Type{create, ask}, sent: []persist.Type{create, ask},
+			events: seq([]string{"open"}, answer, []string{"delete"})},
 	}
 	failing := map[string]persist.Type{
-		"create": persist.TCreate, "ask": persist.TAsk, "stream": persist.TAsk, "feedback": persist.TFeedback,
+		"create": create, "ask": ask, "stream": ask, "feedback": fb, "delete": del,
+		"evict": del, "expire": del, "handoff": handoff, "adopt": create,
+	}
+	status := func(ok bool) int {
+		if ok {
+			return http.StatusOK
+		}
+		return http.StatusInternalServerError
 	}
 	for _, c := range cells {
-		name := c.turn + "/replication"
+		name := c.op + "/replication"
 		if c.local {
-			name = c.turn + "/local"
+			name = c.op + "/local"
 		}
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal")
@@ -126,26 +166,43 @@ func TestCommitFailureMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			opts := []Option{WithJournal(j), WithPresetSessionIDs()}
-			if !c.local {
-				opts = append(opts, WithReplicator(func(rec persist.Record) error {
-					if rec.Type == failing[c.turn] {
+			var mu sync.Mutex
+			var sent []persist.Type
+			opts := []Option{WithJournal(j), WithPresetSessionIDs(),
+				WithReplicator(func(rec persist.Record) error {
+					if rec.Session == sid {
+						mu.Lock()
+						sent = append(sent, rec.Type)
+						mu.Unlock()
+					}
+					if !c.local && rec.Type == failing[c.op] {
 						return errFollowerDown
 					}
 					return nil
-				}))
+				})}
+			switch c.op {
+			case "evict":
+				opts = append(opts, WithMaxSessions(1))
+			case "expire":
+				opts = append(opts, WithSessionTTL(time.Minute))
 			}
 			srv := New(map[string]SessionFactory{"aep": f}, opts...)
+			var skew atomic.Int64
+			srv.store.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 			base := ts.URL + "/v1/sessions/" + sid
 
-			if c.turn != "create" {
+			var r *bufio.Reader
+			if c.op != "create" && c.op != "adopt" {
 				if code, out := presetCreate(srv, sid); code != http.StatusOK {
 					t.Fatalf("create: %d %v", code, out)
 				}
+				resp, sub := subscribe(t, ts, sid, 0)
+				defer resp.Body.Close()
+				r = sub
 			}
-			if c.turn == "feedback" {
+			if c.op == "feedback" {
 				askPlain(t, ts, sid, askQuestion)
 			}
 			wantErr := "journal: replicate: follower down"
@@ -163,7 +220,7 @@ func TestCommitFailureMatrix(t *testing.T) {
 				resp, o := postJSON(t, base+path, body)
 				code, out = resp.StatusCode, o
 			}
-			switch c.turn {
+			switch c.op {
 			case "create":
 				code, out = presetCreate(srv, sid)
 			case "ask":
@@ -177,9 +234,37 @@ func TestCommitFailureMatrix(t *testing.T) {
 				}
 				code = http.StatusInternalServerError
 				_ = json.Unmarshal([]byte(events[len(events)-1].data), &out)
+			case "delete":
+				req, _ := http.NewRequest(http.MethodDelete, base, nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				code = resp.StatusCode
+			case "evict":
+				// A second session takes the only slot.
+				srv.store.put("s8", srv.openSession("s8", "aep", "experience_platform"))
+			case "expire":
+				skew.Store(int64(2 * time.Minute))
+				if _, ok := srv.store.get(sid); ok {
+					t.Fatal("idle session survived its TTL")
+				}
+			case "handoff":
+				code = status(srv.HandOff(sid, "node-b", func([]persist.Record) error { return nil }))
+			case "adopt":
+				res := srv.AdoptSessions([]persist.Record{
+					{Type: create, Session: sid, Corpus: "aep", DB: "experience_platform", ID: 7},
+					{Type: ask, Session: sid, Text: askQuestion},
+				})
+				code = status(reflect.DeepEqual(res.Adopted, []string{sid}))
 			}
-			if code != http.StatusInternalServerError || out["error"] != wantErr {
-				t.Fatalf("failed %s: %d %v, want 500 {error: %q}", c.turn, code, out, wantErr)
+			if code != c.code {
+				t.Fatalf("%s answered %d %v, want %d", c.op, code, out, c.code)
+			}
+			if code == http.StatusInternalServerError && c.op != "handoff" && c.op != "adopt" && out["error"] != wantErr {
+				t.Fatalf("%s failed with %v, want {error: %q}", c.op, out, wantErr)
 			}
 
 			hcode, hist := getHistory(t, base)
@@ -201,8 +286,15 @@ func TestCommitFailureMatrix(t *testing.T) {
 			if !reflect.DeepEqual(got, c.recs) {
 				t.Errorf("journal records = %v, want %v", got, c.recs)
 			}
+			mu.Lock()
+			if !reflect.DeepEqual(sent, c.sent) {
+				t.Errorf("replicated records = %v, want %v", sent, c.sent)
+			}
+			mu.Unlock()
 
-			if !c.kept {
+			var events []sseEvent
+			switch {
+			case !c.kept:
 				req, _ := http.NewRequest(http.MethodGet, base+"/events", nil)
 				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
@@ -212,12 +304,21 @@ func TestCommitFailureMatrix(t *testing.T) {
 				if resp.StatusCode != http.StatusNotFound {
 					t.Errorf("/events of a dropped session: %d, want 404", resp.StatusCode)
 				}
-				return
+				if r == nil {
+					return
+				}
+				events = collectUntilEOF(t, r)
+			case c.local:
+				events = topicEvents(t, srv, sid)
+			default:
+				if r == nil {
+					resp, sub := subscribe(t, ts, sid, 0)
+					defer resp.Body.Close()
+					r = sub
+				}
+				deleteSession(t, ts, sid)
+				events = collectUntilEOF(t, r)
 			}
-			resp, r := subscribe(t, ts, sid, 0)
-			defer resp.Body.Close()
-			deleteSession(t, ts, sid)
-			events := collectUntilEOF(t, r)
 			checkContiguous(t, events, 1, "/events")
 			if got := eventNames(events); !reflect.DeepEqual(got, c.events) {
 				t.Errorf("/events = %v, want %v", got, c.events)

@@ -628,7 +628,12 @@ func TestEventsRecoveryReseedsSequences(t *testing.T) {
 // session moved, it did not end.
 func TestEventsHandoffEndsWithoutDelete(t *testing.T) {
 	f := factory(t)
-	srv := New(map[string]SessionFactory{"aep": f})
+	j, err := persist.Open(filepath.Join(t.TempDir(), "journal"), persist.Options{Fsync: persist.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	srv := New(map[string]SessionFactory{"aep": f}, WithJournal(j))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	sid := newTestSession(t, ts)
@@ -638,8 +643,12 @@ func TestEventsHandoffEndsWithoutDelete(t *testing.T) {
 	defer resp.Body.Close()
 	done := make(chan []sseEvent, 1)
 	go func() { done <- collectUntilEOF(t, r) }()
-	if !srv.ReleaseSession(sid, "node-b") {
-		t.Fatal("ReleaseSession returned false")
+	var sent []persist.Record
+	if !srv.HandOff(sid, "node-b", func(recs []persist.Record) error { sent = recs; return nil }) {
+		t.Fatal("HandOff returned false")
+	}
+	if len(sent) != 2 {
+		t.Errorf("HandOff sent %d records, want the create and the ask", len(sent))
 	}
 	select {
 	case events := <-done:

@@ -26,8 +26,9 @@ type RecoveryInfo struct {
 	Duration time.Duration
 	// CheckpointErr is the error from the post-recovery checkpoint (nil on
 	// success). A failed checkpoint is not fatal — the journal still holds
-	// every live session — but the next restart will replay records the
-	// store already evicted, so the operator should know.
+	// every live session — but the next restart will read again the
+	// records of sessions the store cap left out, so the operator should
+	// know.
 	CheckpointErr error
 }
 
@@ -44,9 +45,6 @@ func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 // recovery. Runs before the server serves any request.
 func (s *Server) recoverJournal() {
 	t0 := time.Now()
-	s.replaying.Store(true)
-	defer s.replaying.Store(false)
-
 	ctx := context.Background()
 	recs := s.journal.Records()
 	info := RecoveryInfo{Records: len(recs), TruncatedBytes: s.journal.Stats().TruncatedBytes}
@@ -61,22 +59,23 @@ func (s *Server) recoverJournal() {
 	for _, id := range s.journal.SessionsSeen() {
 		s.raiseNextID(sessionNumber(id))
 	}
-	groups, dropped := groupRecords(recs)
-	info.Skipped += dropped
+	groups, skipped := s.replayable(recs)
+	info.Skipped += skipped
+	// Replay only the sessions the store cap keeps: with a cap lowered
+	// across the restart, the earliest-created sessions are the ones a put
+	// in creation order would evict. So no put evicts here, and replay
+	// journals nothing.
+	if s.maxSessions > 0 && len(groups) > s.maxSessions {
+		groups = groups[len(groups)-s.maxSessions:]
+	}
 	for _, group := range groups {
-		sess, skipped, ok := s.replayGroup(ctx, group)
+		sess, skipped := s.replayGroup(ctx, group)
 		info.Skipped += skipped
-		if !ok {
-			continue
-		}
-		// Register in creation order: with a store cap below the journal's
-		// session count, the earliest-created sessions are the LRU victims,
-		// matching what the pre-crash eviction order journaled.
 		s.store.put(group[0].Session, sess)
 	}
-	// Reconcile: sessions the replay itself evicted (store cap below the
-	// journal's session count) are dead; checkpoint the journal down to
-	// exactly the surviving state so the next recovery replays no ghosts.
+	// Reconcile: sessions over the cap were not replayed; checkpoint the
+	// journal down to exactly the surviving state so the next recovery
+	// replays no ghosts.
 	live := s.store.ids()
 	s.journal.Retain(func(id string) bool { return live[id] })
 	info.CheckpointErr = s.journal.Checkpoint()
@@ -85,52 +84,47 @@ func (s *Server) recoverJournal() {
 	s.recovery = info
 }
 
-// groupRecords splits a record stream into per-session groups, each
-// beginning at its TCreate. Journal record streams (Records and
-// SessionRecords in internal/persist, and the replicated follower stream)
-// keep each session's records contiguous in creation order, so a group is
-// a maximal run starting at a create. dropped counts records preceding the
-// first create — possible only in a torn or partial replica stream.
-func groupRecords(recs []persist.Record) (groups [][]persist.Record, dropped int) {
+// replayable splits a record stream into per-session groups, each beginning
+// at its TCreate, and keeps those whose corpus and database still exist.
+// Journal record streams (Records and SessionRecords in internal/persist,
+// and the replicated follower stream) keep each session's records
+// contiguous in creation order, so a group is a maximal run starting at a
+// create. skipped counts the records of dropped groups and those preceding
+// the first create — possible only in a torn or partial replica stream.
+func (s *Server) replayable(recs []persist.Record) (groups [][]persist.Record, skipped int) {
 	start := -1
-	for i, rec := range recs {
-		if rec.Type == persist.TCreate {
-			if start >= 0 {
-				groups = append(groups, recs[start:i])
-			} else {
-				dropped = i
-			}
-			start = i
+	for i := 0; i <= len(recs); i++ {
+		if i < len(recs) && recs[i].Type != persist.TCreate {
+			continue
 		}
+		if start < 0 {
+			skipped = i
+		} else if sys, ok := s.systems[recs[start].Corpus]; ok && hasDatabase(sys, recs[start].DB) {
+			groups = append(groups, recs[start:i])
+		} else {
+			skipped += i - start
+		}
+		start = i
 	}
-	if start >= 0 {
-		groups = append(groups, recs[start:])
-	} else {
-		dropped = len(recs)
-	}
-	return groups, dropped
+	return groups, skipped
 }
 
 // replayGroup rebuilds one session from its journal records (group[0] must
-// be the TCreate) — the shared deterministic-replay path of startup
-// recovery and cluster adoption. Each turn record goes through the same
-// apply as a live request, then through commit's publish half (the record
-// is already journaled). The returned session is not yet registered in the
-// store. ok is false when the corpus or database no longer exists; skipped
-// counts turns that errored or records replay does not apply (delete and
-// handoff markers, which a live group never contains).
+// be the TCreate of a replayable group) — the shared deterministic-replay
+// path of startup recovery and cluster adoption. Each turn record goes
+// through the same apply as a live request, then through publishTurn (the
+// record is already journaled). The returned session is not yet registered
+// in the store. skipped counts turns that errored or records replay does
+// not apply (delete and handoff markers, which a live group never
+// contains).
 //
 // The hub only ever sees turns that reached the journal, and replay is
 // deterministic, so a rebuilt topic re-seeds the same sequence numbers with
 // byte-identical payloads — a subscriber resuming via Last-Event-ID against
 // a restarted or promoted owner continues the sequence it was reading, with
 // no regress and no duplicate turn.
-func (s *Server) replayGroup(ctx context.Context, group []persist.Record) (sess *session, skipped int, ok bool) {
+func (s *Server) replayGroup(ctx context.Context, group []persist.Record) (sess *session, skipped int) {
 	create := group[0]
-	sys, found := s.systems[create.Corpus]
-	if !found || !hasDatabase(sys, create.DB) {
-		return nil, len(group), false
-	}
 	sess = s.openSession(create.Session, create.Corpus, create.DB)
 	for _, rec := range group[1:] {
 		if rec.Type != persist.TAsk && rec.Type != persist.TFeedback {
@@ -144,7 +138,7 @@ func (s *Server) replayGroup(ctx context.Context, group []persist.Record) (sess 
 		}
 		_, _, _, _ = s.publishTurn(nil, rec, ans)
 	}
-	return sess, skipped, true
+	return sess, skipped
 }
 
 // AdoptResult reports what AdoptSessions did.
@@ -164,50 +158,35 @@ type AdoptResult struct {
 // AdoptSessions takes ownership of sessions replicated to this node: recs
 // is the follower-journal record stream of the sessions to adopt, per-
 // session contiguous with each group beginning at its TCreate. Each
-// session is rebuilt by deterministic replay, journaled into this node's
-// own journal (and replicated onward to its new follower), then registered
-// in the store — the same recovery path a restart uses, so the adopted
-// history is byte-identical to what the dead owner had acknowledged.
-// Sessions already present are skipped, making a retried promotion
-// idempotent.
+// session is rebuilt by deterministic replay, committed record by record
+// into this node's own journal (and replicated onward to its new
+// follower), then registered in the store — the same recovery path a
+// restart uses, so the adopted history is byte-identical to what the dead
+// owner had acknowledged. Sessions already present are skipped, making a
+// retried promotion idempotent.
 func (s *Server) AdoptSessions(recs []persist.Record) AdoptResult {
 	ctx := context.Background()
-	var res AdoptResult
-	groups, dropped := groupRecords(recs)
-	res.Skipped += dropped
+	groups, skipped := s.replayable(recs)
+	res := AdoptResult{Skipped: skipped}
+adopt:
 	for _, group := range groups {
 		id := group[0].Session
 		if s.store.has(id) {
 			continue
 		}
-		sess, skipped, ok := s.replayGroup(ctx, group)
+		sess, skipped := s.replayGroup(ctx, group)
 		res.Skipped += skipped
-		if !ok {
-			continue
-		}
-		adopted := true
 		for _, rec := range group {
-			if err := s.journalAppend(rec); err != nil {
-				if isReplicationError(err) {
-					// Locally durable; the replicator resyncs the follower in
-					// full on the session's next turn (it tracks per-session
-					// follower state and resends everything after a failure).
-					continue
-				}
-				// This node's own journal broke: adopting anyway would hold
-				// a session the journal never captured. Un-journal the
-				// partial group (best effort) and leave the session behind.
-				_ = s.journal.Append(persist.Record{Type: persist.TDelete, Session: id})
-				adopted = false
+			// A replication failure leaves the record durable here: the
+			// replicator resyncs the follower on the session's next turn. A
+			// local failure means this node's journal broke, and adopting
+			// anyway would hold a session it never captured: end the partial
+			// group, which also closes the topic the replay seeded.
+			if err := s.commit(rec); err != nil && !isReplicationError(err) {
+				_ = s.end(sess, deleteRecord(id)) // never registered, so never kept
 				res.Skipped += len(group)
-				break
+				continue adopt
 			}
-		}
-		if !adopted {
-			// The replay already opened and seeded the fanout topic; tear it
-			// down with the abandoned session.
-			s.hub.CloseTopic(id)
-			continue
 		}
 		s.store.put(id, sess)
 		res.Adopted = append(res.Adopted, id)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -276,7 +277,9 @@ func TestJournalFailureEvictsSession(t *testing.T) {
 
 // TestRecoveryRespectsEviction: sessions evicted by the LRU cap before the
 // crash were journaled as deletes, so a restart under the same cap holds
-// only the survivors.
+// only the survivors. With a cap lowered across the restart, recovery
+// replays only the latest sessions the new cap keeps, and appends nothing
+// while it does.
 func TestRecoveryRespectsEviction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	ts, j, _ := journalServer(t, path, WithMaxSessions(2))
@@ -298,6 +301,76 @@ func TestRecoveryRespectsEviction(t *testing.T) {
 		if code, _ := getHistory(t, ts2.URL+"/v1/sessions/"+id); code != http.StatusOK {
 			t.Errorf("survivor %s missing after recovery: %d", id, code)
 		}
+	}
+
+	// The cap drops from 3 to 2 across a restart.
+	path = filepath.Join(t.TempDir(), "lowered")
+	ts3, j3, _ := journalServer(t, path, WithMaxSessions(3))
+	ids = []string{createSession(t, ts3), createSession(t, ts3), createSession(t, ts3)}
+	hists := map[string]string{}
+	for _, id := range ids {
+		postJSON(t, ts3.URL+"/v1/sessions/"+id+"/ask", map[string]string{"question": askQuestion})
+		_, hists[id] = getHistory(t, ts3.URL+"/v1/sessions/"+id)
+	}
+	ts3.Close()
+	j3.Crash()
+
+	ts4, j4, srv4 := journalServer(t, path, WithMaxSessions(2))
+	defer ts4.Close()
+	defer j4.Close()
+	if n := j4.Stats().Records; n != 0 {
+		t.Errorf("recovery appended %d records, want none", n)
+	}
+	if got := srv4.Recovery().Sessions; got != 2 {
+		t.Errorf("recovered %d sessions under the lowered cap, want 2", got)
+	}
+	if code, _ := getHistory(t, ts4.URL+"/v1/sessions/"+ids[0]); code != http.StatusNotFound {
+		t.Errorf("oldest session %s recovered over the cap: %d", ids[0], code)
+	}
+	for _, id := range ids[1:] {
+		if code, hist := getHistory(t, ts4.URL+"/v1/sessions/"+id); code != http.StatusOK || hist != hists[id] {
+			t.Errorf("survivor %s after recovery: %d %s, want %s", id, code, hist, hists[id])
+		}
+	}
+	if live := j4.LiveSessions(); !reflect.DeepEqual(live, ids[1:]) {
+		t.Errorf("journal keeps %v after the checkpoint, want %v", live, ids[1:])
+	}
+}
+
+// TestDeleteDurableBeforeAck: a delete is acknowledged only once its record
+// is in the journal. When the append fails, DELETE answers 500 and the
+// session keeps serving, because its state still equals the journal; a
+// restart then recovers it with the same history.
+func TestDeleteDurableBeforeAck(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	ts, j, _ := journalServer(t, path)
+	id := createSession(t, ts)
+	base := ts.URL + "/v1/sessions/" + id
+	postJSON(t, base+"/ask", map[string]string{"question": askQuestion})
+	_, before := getHistory(t, base)
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, base, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"journal: journal `) {
+		t.Fatalf("DELETE with a failed journal: %d %s, want 500 journal: …", resp.StatusCode, body)
+	}
+	if code, hist := getHistory(t, base); code != http.StatusOK || hist != before {
+		t.Fatalf("session after the failed delete: %d %s, want %s", code, hist, before)
+	}
+	ts.Close()
+
+	ts2, j2, _ := journalServer(t, path)
+	defer ts2.Close()
+	defer j2.Close()
+	if code, hist := getHistory(t, ts2.URL+"/v1/sessions/"+id); code != http.StatusOK || hist != before {
+		t.Fatalf("session after restart: %d %s, want %s", code, hist, before)
 	}
 }
 

@@ -12,12 +12,15 @@
 // true-LRU in O(1), and sessions evicted while a request is in flight
 // answer 410 Gone.
 //
-// Every turn is a persist.Record and takes one path: apply runs it through
-// the session's pipeline, commit journals it (and replicates it) and then
-// publishes it to the session's /events topic. /ask, /feedback, the
-// streamed ask (sse.go) and journal replay (journal.go: crash recovery and
-// cluster adoption) all go through apply; replay, whose records are already
-// journaled, runs only commit's publish half.
+// Every session event is a persist.Record, and commit is the one place a
+// record is journaled and replicated: create, ask, feedback, delete,
+// eviction, expiry, handoff and adoption all go through it, and its doc
+// comment states what a failure does to each kind. A turn takes apply (the
+// session's pipeline), then commitTurn (commit, then publish to the
+// session's /events topic); a session leaves through end. /ask, /feedback,
+// the streamed ask (sse.go) and journal replay (journal.go: crash recovery
+// and cluster adoption) all go through apply; replay, whose records are
+// already journaled, runs only publishTurn.
 package server
 
 import (
@@ -87,14 +90,10 @@ type Server struct {
 	// the session's follower before the turn is acknowledged. presetIDs lets
 	// the router tier pre-assign session ids (the id must determine the
 	// owning node, so it is issued before the create is forwarded).
-	// handoffs names the target node of sessions being released by a drain,
-	// so their removal journals a THandoff instead of a TDelete. creating
-	// holds the preset ids whose create is in flight, so two concurrent
-	// creates of one id cannot both journal and register it.
+	// creating holds the preset ids whose create is in flight, so two
+	// concurrent creates of one id cannot both journal and register it.
 	replicator Replicator
 	presetIDs  bool
-	handoffMu  sync.Mutex
-	handoffs   map[string]string
 	creating   sync.Map
 
 	// Admission control (admission.go). Nil limiters admit everything; the
@@ -104,13 +103,9 @@ type Server struct {
 	fbLimit    *limiter
 	retryAfter string
 
-	// Durability. journal is nil when persistence is disabled. replaying
-	// suppresses the store's delete-record hook while startup replay is
-	// rebuilding sessions (evictions during replay are reconciled by
-	// Retain afterwards, not journaled one by one).
-	journal   *persist.Journal
-	replaying atomic.Bool
-	recovery  RecoveryInfo
+	// Durability. journal is nil when persistence is disabled.
+	journal  *persist.Journal
+	recovery RecoveryInfo
 
 	// Observability. metrics is nil when disabled; the derived counters
 	// and histograms below are then nil too, and every use of them is a
@@ -165,11 +160,8 @@ func WithPubSubRing(n int) Option {
 
 // Replicator ships one journal record to wherever the cluster keeps the
 // session's redundant copy (the follower node). It is called after the
-// local journal append succeeds and before the turn is acknowledged; an
-// error fails the request without evicting the session — the local journal
-// did capture the turn, so it stays in the history and on /events, only the
-// follower copy is missing, and a retry re-replicates (see DESIGN.md
-// "Cluster serving" for the exact contract).
+// local journal append succeeds and before the record is acknowledged; what
+// an error does to each record kind is tabled on commit.
 type Replicator func(rec persist.Record) error
 
 // WithReplicator installs the cluster replication hook.
@@ -244,34 +236,12 @@ func New(systems map[string]SessionFactory, opts ...Option) *Server {
 	s.retryAfter = strconv.FormatInt(secs, 10)
 	s.hub = pubsub.NewHub(s.pubsubRing)
 	s.store = newSessionStore(s.maxSessions, s.sessionTTL)
-	s.store.onRemove = func(id string) {
-		target, handoff := s.handoffTarget(id)
-		if handoff {
-			// The session moved to another node; it did not end. Close the
-			// topic without a delete event so a subscriber's stream just
-			// ends — it reconnects through the router and resumes on the new
-			// owner, whose adoption replay rebuilt the same sequence numbers.
-			s.hub.CloseTopic(id)
-		} else {
-			// Delete/evict/expire: announce the end, then close. The batch
-			// ordering matters only to subscribers still attached; a closed
-			// topic makes any in-flight turn's publish a no-op.
-			s.hub.Publish(id, deletePayload(id))
-			s.hub.CloseTopic(id)
-		}
-		if s.replaying.Load() || (s.journal == nil && s.replicator == nil) {
-			return
-		}
-		rec := persist.Record{Type: persist.TDelete, Session: id}
-		if handoff {
-			rec = persist.Record{Type: persist.THandoff, Session: id, Text: target}
-		}
-		// Best effort on both legs: a removal cannot be un-removed, and
-		// deletes/handoffs replicate asynchronously with respect to the
-		// follower's view. The cluster replicator redelivers a missed
-		// delete in the background, which narrows — but does not close —
-		// the resurrection window DESIGN.md documents.
-		_ = s.journalAppend(rec)
+	s.store.onEvict = func(sess *session) {
+		// The store already dropped the session; a turn still in flight on
+		// it commits before the delete record does.
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		_ = s.end(sess, deleteRecord(sess.id)) // cannot keep a dropped session
 	}
 	if s.journal != nil {
 		s.recoverJournal()
@@ -466,32 +436,74 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// journalAppend records one lifecycle event, if a journal is configured,
-// then ships it to the session's follower, if a replicator is configured.
-// A failed local append is a broken durability promise, so callers surface
-// it as a 500 and evict the diverged session; a failed replication comes
-// back wrapped as a replicationError — the turn IS locally durable, so
-// callers fail the request without evicting (isReplicationError).
-func (s *Server) journalAppend(rec persist.Record) error {
+// commit is the one place a record is made durable: it appends rec to the
+// journal, if one is configured, then ships it to the session's follower,
+// if a replicator is configured. The caller holds the session's lock (or
+// the session is not registered yet), so the journal's per-session record
+// order is the order the session saw. A failure reads "journal: …"; a
+// replication failure, "journal: replicate: …" (isReplicationError). What
+// the caller then does depends only on the record kind:
+//
+//	record          local failure                     replication failure
+//	create          500; nothing registered           500; a delete is committed
+//	                                                  after it; nothing registered
+//	ask, feedback   500; the session is evicted       500; the turn is kept and
+//	                (end)                             published
+//	delete          500; the session keeps serving    200; the session ends
+//	evict, expire   the session ends (the store       the session ends
+//	                dropped it); a restart recovers it
+//	handoff         the session stays here; the       the session moves
+//	                rebalance reports it failed
+//	adopted record  the partial group ends (end);     the session is adopted
+//	                the session is not adopted
+//
+// A terminal record that fails locally leaves a live session in service:
+// its state still equals the journal. A replication failure never evicts,
+// because the record is durable here; the node redelivers a delete its
+// follower missed, and never ships a handoff.
+func (s *Server) commit(rec persist.Record) (err error) {
 	if s.journal != nil {
-		if err := s.journal.Append(rec); err != nil {
-			return err
+		err = s.journal.Append(rec)
+	}
+	if err == nil && s.replicator != nil {
+		if rerr := s.replicator(rec); rerr != nil {
+			err = &replicationError{err: rerr}
 		}
 	}
-	if s.replicator != nil {
-		if err := s.replicator(rec); err != nil {
-			return &replicationError{err: err}
-		}
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
 
-// replicationError marks a journalAppend failure that happened after the
-// local append succeeded: only the follower copy is missing. The turn is
-// not acknowledged (the request still fails), but the session's in-memory
-// state matches the local journal exactly, so eviction would destroy a
-// perfectly consistent session. A client retry at-least-once re-applies the
-// turn and re-replicates — see DESIGN.md "Cluster serving".
+// end commits a session's terminal record (TDelete or THandoff), then takes
+// the session out of service: it leaves the store, and its /events topic
+// announces the delete and closes — or, for a handoff, only closes, so a
+// subscriber's stream just ends and resumes through the router on the new
+// owner, whose adoption replay rebuilt the same sequence numbers. The caller
+// holds sess.mu. When the record fails locally and the store still holds
+// the session, end keeps it and returns the error; otherwise the session
+// ends and end returns nil.
+func (s *Server) end(sess *session, rec persist.Record) error {
+	if err := s.commit(rec); err != nil && !isReplicationError(err) && s.store.has(sess.id) {
+		return err
+	}
+	s.store.remove(sess.id)
+	if rec.Type == persist.TDelete {
+		s.hub.Publish(sess.id, deletePayload(sess.id))
+	}
+	s.hub.CloseTopic(sess.id)
+	return nil
+}
+
+func deleteRecord(id string) persist.Record {
+	return persist.Record{Type: persist.TDelete, Session: id}
+}
+
+// replicationError marks a commit failure after the local append succeeded:
+// only the follower copy is missing, and the session's state still equals
+// the local journal. A client retry at-least-once re-applies the turn and
+// re-replicates — see DESIGN.md "Cluster serving".
 type replicationError struct{ err error }
 
 func (e *replicationError) Error() string { return "replicate: " + e.err.Error() }
@@ -502,31 +514,24 @@ func isReplicationError(err error) bool {
 	return errors.As(err, &re)
 }
 
-// handoffTarget reports the node a session being removed is moving to, if
-// its removal came from ReleaseSession rather than a delete/evict/expiry.
-func (s *Server) handoffTarget(id string) (string, bool) {
-	s.handoffMu.Lock()
-	defer s.handoffMu.Unlock()
-	t, ok := s.handoffs[id]
-	return t, ok
-}
-
-// ReleaseSession removes id from this node as part of a cluster rebalance:
-// the removal is journaled as a THandoff naming the target node instead of
-// a TDelete, recording that the session moved rather than ended. Returns
-// false when the session does not exist here.
-func (s *Server) ReleaseSession(id, target string) bool {
-	s.handoffMu.Lock()
-	if s.handoffs == nil {
-		s.handoffs = make(map[string]string)
+// HandOff moves session id to the node named target, for a cluster
+// rebalance. Under the session lock it snapshots the session's journal
+// records, passes them to send (the post to the new owner), and once send
+// succeeds ends the session here with a THandoff naming target. A turn in
+// flight therefore commits before the snapshot, and a turn waiting on the
+// lock answers 410. It reports whether the session moved.
+func (s *Server) HandOff(id, target string, send func([]persist.Record) error) bool {
+	sess, ok := s.store.get(id)
+	if !ok || s.journal == nil {
+		return false
 	}
-	s.handoffs[id] = target
-	s.handoffMu.Unlock()
-	_, ok := s.store.remove(id)
-	s.handoffMu.Lock()
-	delete(s.handoffs, id)
-	s.handoffMu.Unlock()
-	return ok
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	recs := s.journal.SessionRecords(id)
+	if sess.gone.Load() || recs == nil || send(recs) != nil {
+		return false
+	}
+	return s.end(sess, persist.Record{Type: persist.THandoff, Session: id, Text: target}) == nil
 }
 
 // SessionIDs snapshots the live session ids in sorted order — the cluster
@@ -598,17 +603,16 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// record a concurrent capacity eviction could emit for this id. The
 	// numeric id rides along so the journal's id high-watermark survives
 	// compaction (see persist.TWatermark).
-	if err := s.journalAppend(persist.Record{
+	if err := s.commit(persist.Record{
 		Type: persist.TCreate, Session: id, Corpus: req.Corpus, DB: req.DB, ID: n,
 	}); err != nil {
-		if isReplicationError(err) && s.journal != nil {
-			// The create reached the local journal but not the follower. The
-			// client sees a 500 and will retry with a fresh id, so un-journal
-			// the orphan rather than replaying an unacknowledged session
-			// after a crash.
-			_ = s.journal.Append(persist.Record{Type: persist.TDelete, Session: id})
+		if isReplicationError(err) {
+			// The create is durable here but the client sees a 500 and will
+			// retry under a fresh id: commit a delete, so neither a restart
+			// nor a promotion of the follower brings the orphan back.
+			_ = s.commit(deleteRecord(id))
 		}
-		httpError(w, http.StatusInternalServerError, "journal: "+err.Error())
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.store.put(id, s.openSession(id, req.Corpus, req.DB))
@@ -623,16 +627,28 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 func (s *Server) openSession(id, corpus, db string) *session {
 	s.hub.Open(id)
 	s.hub.Publish(id, openPayload(id, corpus, db))
-	return &session{sess: s.systems[corpus].NewSession(db), db: db}
+	return &session{sess: s.systems[corpus].NewSession(db), db: db, id: id}
 }
 
+// handleDeleteSession ends the session under its lock, so a turn in flight
+// commits before the delete record. The delete is acknowledged once it is
+// in the local journal; a failed append answers 500 and the session keeps
+// serving.
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.store.remove(id); !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown session %q", id))
+	sess, err := s.session(r)
+	if err != nil {
+		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"session_id": id, "deleted": true})
+	if !s.lockLive(w, sess) {
+		return
+	}
+	defer sess.mu.Unlock()
+	if err := s.end(sess, deleteRecord(sess.id)); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, map[string]any{"session_id": sess.id, "deleted": true})
 }
 
 func (s *Server) session(r *http.Request) (*session, error) {
@@ -804,7 +820,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveTurn is the one tail of /ask and /feedback: admission, the session
-// lock and the request trace, then apply → commit → write. It runs after
+// lock and the request trace, then apply → commitTurn → write. It runs after
 // validation, so malformed requests get their precise 4xx cheaply and never
 // consume a pipeline slot. Only an ask may stream (see sse.go).
 func (s *Server) serveTurn(w http.ResponseWriter, r *http.Request, lim *limiter, sess *session, rec persist.Record) {
@@ -839,7 +855,7 @@ func (s *Server) serveTurn(w http.ResponseWriter, r *http.Request, lim *limiter,
 		httpError(w, code, err.Error())
 		return
 	}
-	body, _, _, err := s.commit(tr, sess, rec, ans)
+	body, _, _, err := s.commitTurn(tr, sess, rec, ans)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -888,33 +904,30 @@ func offsetMismatch(highlight string, offset int) error {
 	return fmt.Errorf("highlight %q does not occur at byte offset %d of the current SQL", highlight, offset)
 }
 
-// commit makes an applied turn durable, then visible: the record is
-// journaled and replicated (journalAppend), then the answer is rendered and
-// the turn published to the session's /events topic. The caller holds
-// sess.mu, so the journal's per-session record order is the history order.
-//
-// A failed local append evicts the session: its live state holds a turn the
-// journal never captured, and keeping it would serve — and let a retry of
-// the 500 double-apply — that turn. The session answers 404/410 until
-// recreated; the removal hook journals the delete best effort. A failed
-// replication evicts nothing: the turn is locally durable and is published
-// like any committed turn, so the event stream keeps following the history
-// replay rebuilds; only the response reports the error. body, events and
-// seq are the rendered answer, the turn's published events and the done
+// commitTurn makes an applied turn durable (commit), then visible: the
+// answer is rendered and the turn published to the session's /events topic.
+// The caller holds sess.mu. A failed local append evicts the session: its
+// live state holds a turn the journal never captured, and keeping it would
+// serve — and let a retry of the 500 double-apply — that turn. It leaves the
+// store first, so end ends it even though its delete fails too. A turn
+// whose replication failed is published like any committed turn, so the
+// event stream keeps following the history replay rebuilds. body, events
+// and seq are the rendered answer, the turn's published events and the done
 // event's sequence number.
-func (s *Server) commit(tr *obs.Trace, sess *session, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64, err error) {
-	jerr := s.journalAppend(rec)
-	if jerr != nil && !isReplicationError(jerr) {
+func (s *Server) commitTurn(tr *obs.Trace, sess *session, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64, err error) {
+	cerr := s.commit(rec)
+	if cerr != nil && !isReplicationError(cerr) {
 		s.store.remove(sess.id)
-		return nil, nil, 0, fmt.Errorf("journal: %w", jerr)
+		_ = s.end(sess, deleteRecord(sess.id)) // cannot keep a dropped session
+		return nil, nil, 0, cerr
 	}
-	if body, events, seq, err = s.publishTurn(tr, rec, ans); err == nil && jerr != nil {
-		err = fmt.Errorf("journal: %w", jerr)
+	if body, events, seq, err = s.publishTurn(tr, rec, ans); err == nil {
+		err = cerr
 	}
 	return body, events, seq, err
 }
 
-// publishTurn is commit's second half, and all of it that replay runs: a
+// publishTurn is commitTurn's second half, and all of it that replay runs: a
 // replayed record is already journaled. It renders the answer and publishes
 // the turn.
 func (s *Server) publishTurn(tr *obs.Trace, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64, err error) {

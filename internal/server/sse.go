@@ -221,7 +221,7 @@ func (s *Server) streamAsk(ctx context.Context, w http.ResponseWriter, fl http.F
 	var events []pubsub.Payload
 	var seq uint64
 	if err == nil {
-		_, events, seq, err = s.commit(tr, sess, rec, ans)
+		_, events, seq, err = s.commitTurn(tr, sess, rec, ans)
 	}
 	if err != nil {
 		st.event("error", mustErrorJSON(err.Error()))

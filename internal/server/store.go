@@ -76,10 +76,11 @@ type sessionStore struct {
 	ttl         time.Duration
 	// now is the clock, swappable by tests.
 	now func() time.Time
-	// onRemove, when set, observes every removal — explicit delete,
-	// capacity eviction or idle-TTL expiry — outside the shard locks. The
-	// journal hooks in here so replay knows which sessions are dead.
-	onRemove func(id string)
+	// onEvict, when set, observes every removal the store starts itself —
+	// capacity eviction or idle-TTL expiry — outside the shard locks, so the
+	// server can end the session. An explicit remove does not call it: its
+	// caller ends the session itself.
+	onEvict func(*session)
 	// clock is the store-wide access counter behind lruSeq stamps.
 	clock atomic.Uint64
 	// count tracks the live session total across shards.
@@ -156,7 +157,7 @@ func (st *sessionStore) put(id string, s *session) {
 	s.id = id
 	sh := st.shardFor(id)
 	sh.mu.Lock()
-	var expired []string
+	var expired []*session
 	if st.ttl > 0 {
 		expired = st.expireTailLocked(sh)
 	}
@@ -164,25 +165,25 @@ func (st *sessionStore) put(id string, s *session) {
 	sh.pushFront(s)
 	st.touch(s)
 	sh.mu.Unlock()
-	st.notifyRemoved(expired)
+	st.notifyEvicted(expired...)
 	st.count.Add(1)
 	for st.maxSessions > 0 && st.count.Load() > int64(st.maxSessions) {
-		victim, ok := st.evictOldest()
-		if !ok {
+		victim := st.evictOldest()
+		if victim == nil {
 			return
 		}
-		st.notifyRemoved([]string{victim})
+		st.notifyEvicted(victim)
 	}
 }
 
-// notifyRemoved runs the removal hook for each id. Callers must have
+// notifyEvicted runs the eviction hook for each session. Callers must have
 // released every shard lock first — the hook may do I/O (journal append).
-func (st *sessionStore) notifyRemoved(ids []string) {
-	if st.onRemove == nil {
+func (st *sessionStore) notifyEvicted(victims ...*session) {
+	if st.onEvict == nil {
 		return
 	}
-	for _, id := range ids {
-		st.onRemove(id)
+	for _, s := range victims {
+		st.onEvict(s)
 	}
 }
 
@@ -200,7 +201,7 @@ func (st *sessionStore) get(id string) (*session, bool) {
 		st.removeLocked(sh, s)
 		st.expired.Add(1)
 		sh.mu.Unlock()
-		st.notifyRemoved([]string{id})
+		st.notifyEvicted(s)
 		return nil, false
 	}
 	sh.moveToFront(s)
@@ -219,7 +220,8 @@ func (st *sessionStore) has(id string) bool {
 	return ok
 }
 
-// remove deletes id, returning the removed session.
+// remove deletes id, returning the removed session. It does not call the
+// eviction hook.
 func (st *sessionStore) remove(id string) (*session, bool) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
@@ -228,9 +230,6 @@ func (st *sessionStore) remove(id string) (*session, bool) {
 		st.removeLocked(sh, s)
 	}
 	sh.mu.Unlock()
-	if ok {
-		st.notifyRemoved([]string{id})
-	}
 	return s, ok
 }
 
@@ -243,26 +242,26 @@ func (st *sessionStore) removeLocked(sh *sessionShard, s *session) {
 }
 
 // expireTailLocked drops idle-expired sessions off the least-recent end of
-// one shard, returning their ids so the caller can fire the removal hook
-// after releasing the lock. Caller holds the shard write lock.
-func (st *sessionStore) expireTailLocked(sh *sessionShard) []string {
+// one shard, returning them so the caller can fire the eviction hook after
+// releasing the lock. Caller holds the shard write lock.
+func (st *sessionStore) expireTailLocked(sh *sessionShard) []*session {
 	now := st.now()
-	var ids []string
+	var expired []*session
 	for sh.tail != nil && now.Sub(sh.tail.lastAccess) > st.ttl {
-		ids = append(ids, sh.tail.id)
+		expired = append(expired, sh.tail)
 		st.removeLocked(sh, sh.tail)
 		st.expired.Add(1)
 	}
-	return ids
+	return expired
 }
 
-// evictOldest removes the globally least-recently-used session, returning
-// its id: peek every shard's tail stamp under a read lock, then confirm and
+// evictOldest removes and returns the globally least-recently-used session
+// (nil when none could be taken): peek every shard's tail stamp under a read lock, then confirm and
 // remove the winner under its write lock. A tail promoted between peek and
 // confirm makes the snapshot stale; retry a bounded number of times
 // (progress is still guaranteed by the caller's count check — another
 // creator may have evicted on our behalf).
-func (st *sessionStore) evictOldest() (string, bool) {
+func (st *sessionStore) evictOldest() *session {
 	for attempt := 0; attempt < 4; attempt++ {
 		var victim *sessionShard
 		var victimSeq uint64
@@ -276,19 +275,18 @@ func (st *sessionStore) evictOldest() (string, bool) {
 			sh.mu.RUnlock()
 		}
 		if victim == nil {
-			return "", false
+			return nil
 		}
 		victim.mu.Lock()
-		if victim.tail != nil && victim.tail.lruSeq == victimSeq {
-			id := victim.tail.id
-			st.removeLocked(victim, victim.tail)
+		if s := victim.tail; s != nil && s.lruSeq == victimSeq {
+			st.removeLocked(victim, s)
 			st.evicted.Add(1)
 			victim.mu.Unlock()
-			return id, true
+			return s
 		}
 		victim.mu.Unlock()
 	}
-	return "", false
+	return nil
 }
 
 // len reports the live session count.
