@@ -20,41 +20,8 @@
 // scrape is attempted and skipped with a warning if the target was started
 // without -metrics.
 //
-// With -restart the generator runs the kill-and-restart durability
-// scenario instead of a timed load run: it journals a -restart-sessions
-// sized workload through an in-process server, captures every session's
-// /history bytes, simulates a crash (the journal file is abandoned
-// mid-stream and a torn partial record is appended, as an interrupted
-// write would leave), recovers a fresh server from the journal and
-// requires each recovered history to be byte-identical to its pre-crash
-// capture — failing if recovery exceeds -restart-budget.
-//
-// With -overload the generator runs the admission-control scenario (see
-// overload.go): an in-process server with a real capacity limit is driven
-// at capacity and then at -overload-factor times capacity, asserting that
-// accepted asks keep a bounded p99, that excess load is shed exclusively
-// with clean 429 + Retry-After responses, and that a kill-and-restart
-// recovery after the overload loses no acknowledged turn.
-//
-// With -fanout the generator runs the session-event fanout scenario (see
-// fanout.go): -fanout-subscribers concurrent /v1/sessions/{id}/events
-// subscribers — one of which disconnects mid-run and resumes with
-// Last-Event-ID, plus one stalled reader that never drains its
-// connection — watch a session being driven through -fanout-asks turns,
-// and the run fails unless every subscriber saw the same gap-free,
-// duplicate-free, byte-identical event sequence, the stalled reader did
-// not degrade ask p99 versus a no-subscriber baseline, and the pubsub
-// metrics account for every published event. With -fanout-cluster the
-// same contract is asserted across a mid-run owner kill in an in-process
-// cluster: subscribers reconnect through the router and the promoted
-// follower must continue the exact sequence.
-//
 //	fisql-loadgen -corpus aep -sessions 32 -duration 5s
 //	fisql-loadgen -addr 127.0.0.1:8321 -corpus spider -mix 6:2:2 -json out.json
-//	fisql-loadgen -corpus aep -restart -restart-sessions 1000
-//	fisql-loadgen -corpus aep -overload -overload-duration 1s
-//	fisql-loadgen -corpus aep -fanout -fanout-subscribers 4
-//	fisql-loadgen -corpus aep -fanout -fanout-cluster
 package main
 
 import (
@@ -68,7 +35,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,8 +43,6 @@ import (
 
 	"fisql"
 	"fisql/internal/obs"
-	"fisql/internal/persist"
-	"fisql/internal/persist/persisttest"
 	"fisql/internal/server"
 )
 
@@ -158,50 +122,6 @@ func main() {
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file (- for stdout)")
 	metricsOn := flag.Bool("metrics", true,
 		"enable server metrics (in-process) and report the per-stage breakdown")
-	restart := flag.Bool("restart", false,
-		"run the kill-and-restart durability scenario instead of a timed load run")
-	restartSessions := flag.Int("restart-sessions", 1000,
-		"sessions to journal in the restart scenario")
-	restartBudget := flag.Duration("restart-budget", time.Second,
-		"fail the restart scenario if journal recovery takes longer than this")
-	overload := flag.Bool("overload", false,
-		"run the admission-control overload scenario instead of a timed load run")
-	overloadFactor := flag.Int("overload-factor", 4,
-		"overload phase drives this many times the server's ask capacity")
-	overloadDuration := flag.Duration("overload-duration", 2*time.Second,
-		"length of each overload phase (at-capacity, then overloaded)")
-	overloadAskLimit := flag.Int("overload-ask-limit", 8,
-		"admission ask concurrency limit of the overloaded server")
-	overloadQueue := flag.Int("overload-queue", 0,
-		"admission queue depth of the overloaded server (0 = the ask limit)")
-	overloadQueueTimeout := flag.Duration("overload-queue-timeout", 25*time.Millisecond,
-		"queue timeout of the overloaded server")
-	overloadLLMLatency := flag.Duration("overload-llm-latency", 5*time.Millisecond,
-		"injected per-model-call latency that defines the server's capacity")
-	overloadP99Factor := flag.Float64("overload-p99-factor", 3.0,
-		"fail if overload p99 exceeds this multiple of the at-capacity p99 (plus slack)")
-	overloadP99Slack := flag.Duration("overload-p99-slack", 30*time.Millisecond,
-		"absolute allowance added to the overload p99 bound, for timer noise")
-	clusterOn := flag.Bool("cluster", false,
-		"run the cluster failover chaos scenario instead of a timed load run")
-	clusterNodes := flag.Int("cluster-nodes", 3,
-		"in-process cluster nodes behind the router in the cluster scenario")
-	clusterKillAt := flag.Float64("cluster-kill-at", 0.5,
-		"kill the busiest node after this fraction of -duration (0 < f < 1)")
-	clusterHealthInterval := flag.Duration("cluster-health-interval", 25*time.Millisecond,
-		"router health-probe period in the cluster scenario")
-	fanoutOn := flag.Bool("fanout", false,
-		"run the session-event fanout scenario instead of a timed load run")
-	fanoutSubscribers := flag.Int("fanout-subscribers", 4,
-		"concurrent /events subscribers in the fanout scenario (one reconnects mid-run)")
-	fanoutAsks := flag.Int("fanout-asks", 6,
-		"turns driven through the observed session in the fanout scenario")
-	fanoutCluster := flag.Bool("fanout-cluster", false,
-		"run the fanout scenario against an in-process cluster with a mid-run owner kill")
-	fanoutP99Factor := flag.Float64("fanout-p99-factor", 4.0,
-		"fail if ask p99 with subscribers attached exceeds this multiple of the baseline (plus slack)")
-	fanoutP99Slack := flag.Duration("fanout-p99-slack", 50*time.Millisecond,
-		"absolute allowance added to the fanout p99 bound, for timer noise")
 	flag.Parse()
 
 	weights, err := parseMix(*mix)
@@ -232,54 +152,6 @@ func main() {
 		questionsByDB[e.DB] = append(questionsByDB[e.DB], e.Question)
 	}
 	dbs := sys.Databases()
-
-	if *restart {
-		if *addr != "" {
-			log.Fatal("-restart drives an in-process server; it cannot be combined with -addr")
-		}
-		os.Exit(runRestart(sys, *corpus, dbs, questionsByDB, *restartSessions, *restartBudget))
-	}
-	if *clusterOn {
-		if *addr != "" {
-			log.Fatal("-cluster drives an in-process cluster; it cannot be combined with -addr")
-		}
-		os.Exit(runCluster(sys, *corpus, dbs, questionsByDB, clusterConfig{
-			Nodes:          *clusterNodes,
-			KillAt:         *clusterKillAt,
-			HealthInterval: *clusterHealthInterval,
-			Sessions:       *sessions,
-			Duration:       *duration,
-			Seed:           *seed,
-		}))
-	}
-	if *fanoutOn {
-		if *addr != "" {
-			log.Fatal("-fanout drives an in-process server; it cannot be combined with -addr")
-		}
-		os.Exit(runFanout(sys, *corpus, dbs, questionsByDB, fanoutConfig{
-			Subscribers: *fanoutSubscribers,
-			Asks:        *fanoutAsks,
-			Cluster:     *fanoutCluster,
-			Nodes:       *clusterNodes,
-			P99Factor:   *fanoutP99Factor,
-			P99Slack:    *fanoutP99Slack,
-		}))
-	}
-	if *overload {
-		if *addr != "" {
-			log.Fatal("-overload drives an in-process server; it cannot be combined with -addr")
-		}
-		os.Exit(runOverload(sys, *corpus, dbs, questionsByDB, overloadConfig{
-			Factor:       *overloadFactor,
-			Duration:     *overloadDuration,
-			AskLimit:     *overloadAskLimit,
-			Queue:        *overloadQueue,
-			QueueTimeout: *overloadQueueTimeout,
-			LLMLatency:   *overloadLLMLatency,
-			P99Factor:    *overloadP99Factor,
-			P99Slack:     *overloadP99Slack,
-		}))
-	}
 
 	base := "http://" + *addr
 	inProcess := *addr == ""
@@ -407,125 +279,6 @@ func targetName(addr string) string {
 		return "in-process"
 	}
 	return addr
-}
-
-// runRestart is the kill-and-restart durability scenario. Returns the
-// process exit code.
-func runRestart(sys *fisql.System, corpus string, dbs []string,
-	questionsByDB map[string][]string, n int, budget time.Duration) int {
-	dir, err := os.MkdirTemp("", "fisql-restart-*")
-	if err != nil {
-		log.Fatalf("restart scenario: %v", err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "sessions.journal")
-
-	journal, err := persist.Open(path, persist.Options{Fsync: persist.FsyncInterval})
-	if err != nil {
-		log.Fatalf("restart scenario: open journal: %v", err)
-	}
-	factories := map[string]server.SessionFactory{corpus: sysAdapter{sys}}
-	ts := httptest.NewServer(server.New(factories, server.WithJournal(journal)))
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
-
-	// Journal a mixed workload: every session asks once, every third also
-	// sends feedback, so replay exercises both pipeline paths.
-	ids := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		db := dbs[i%len(dbs)]
-		questions := questionsByDB[db]
-		if len(questions) == 0 {
-			continue
-		}
-		sid, err := createSession(client, ts.URL, corpus, db)
-		if err != nil {
-			log.Fatalf("restart scenario: %v", err)
-		}
-		sessURL := ts.URL + "/v1/sessions/" + sid
-		if err := post(client, sessURL+"/ask",
-			map[string]string{"question": questions[i%len(questions)]}); err != nil {
-			log.Fatalf("restart scenario: %v", err)
-		}
-		if i%3 == 0 {
-			if err := post(client, sessURL+"/feedback",
-				map[string]string{"text": feedbackTexts[i%len(feedbackTexts)]}); err != nil {
-				log.Fatalf("restart scenario: %v", err)
-			}
-		}
-		ids = append(ids, sid)
-	}
-
-	// Pre-crash captures: the byte-exact /history body of every session.
-	capture, err := persisttest.Capture(client, ts.URL, ids)
-	if err != nil {
-		log.Fatalf("restart scenario: %v", err)
-	}
-
-	// Kill: stop serving and abandon the journal without a checkpoint, then
-	// append a torn partial record — the tail an interrupted in-flight
-	// write (never acknowledged to any client) would leave behind.
-	ts.Close()
-	if err := journal.Crash(); err != nil {
-		log.Fatalf("restart scenario: crash: %v", err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		log.Fatalf("restart scenario: %v", err)
-	}
-	if _, err := f.Write([]byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe}); err != nil {
-		log.Fatalf("restart scenario: torn append: %v", err)
-	}
-	f.Close()
-
-	// Restart: recovery is Open plus the replay New performs.
-	t0 := time.Now()
-	journal2, err := persist.Open(path, persist.Options{Fsync: persist.FsyncInterval})
-	if err != nil {
-		log.Fatalf("restart scenario: reopen journal: %v", err)
-	}
-	srv2 := server.New(factories, server.WithJournal(journal2))
-	recovery := time.Since(t0)
-	rec := srv2.Recovery()
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
-	defer journal2.Close()
-
-	diffs := persisttest.DiffHistories(client, ts2.URL, capture)
-	for _, d := range diffs {
-		log.Printf("restart scenario: %s", d)
-	}
-	mismatches := len(diffs)
-
-	fmt.Printf("fisql-loadgen restart: corpus=%s sessions=%d records=%d torn_bytes=%d\n",
-		corpus, rec.Sessions, rec.Records, rec.TruncatedBytes)
-	fmt.Printf("recovery=%s (budget %s) history_diffs=%d\n",
-		recovery.Round(time.Millisecond), budget, mismatches)
-	if mismatches > 0 {
-		log.Printf("FAIL: %d recovered histories differ from their pre-crash capture", mismatches)
-		return 1
-	}
-	if recovery > budget {
-		log.Printf("FAIL: recovery took %s, budget %s", recovery, budget)
-		return 1
-	}
-	return 0
-}
-
-// getBody fetches url and returns the raw response body.
-func getBody(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return body, nil
 }
 
 // scrapeMetrics pulls /v1/metrics in both forms, checks they are

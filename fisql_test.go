@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fisql/internal/engine"
+	"fisql/internal/llm"
 	"fisql/internal/obs"
 )
 
@@ -135,5 +136,29 @@ func TestObserveEngineOrderCounters(t *testing.T) {
 	if ty, g, n := moved("fisql_engine_order_typed_sorts_total"), moved("fisql_engine_order_generic_sorts_total"),
 		moved("fisql_engine_order_rows_total"); ty != 1 || g != 0 || n != int64(len(seg.Rows)) {
 		t.Errorf("typed sorts %d, generic sorts %d, rows %d over %d rows", ty, g, n, len(seg.Rows))
+	}
+}
+
+// TestObserveBatcherCounters checks that Observe over a batching client
+// registers the batcher's counters and flush-wait histogram, and that an
+// ask reaches the model as a batch.
+func TestObserveBatcherCounters(t *testing.T) {
+	base := aepSystem(t)
+	sys := NewSystem(base.DS, llm.NewBatcher(base.Client, llm.BatcherConfig{}))
+	r := obs.NewRegistry()
+	sys.Observe(r)
+	if _, err := sys.Session("experience_platform", Options{}).Ask(context.Background(),
+		"How many audiences were created in January?"); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Snapshot()
+	if _, ok := snap.Counters["fisql_llm_batch_calls_total"]; !ok {
+		t.Error("no fisql_llm_batch_calls_total counter")
+	}
+	if got := snap.Counters["fisql_llm_batches_total"]; got == 0 {
+		t.Error("fisql_llm_batches_total = 0 after an ask; the batcher is not engaging")
+	}
+	if _, ok := snap.Histograms["fisql_llm_batch_wait_seconds"]; !ok {
+		t.Error("no fisql_llm_batch_wait_seconds histogram")
 	}
 }

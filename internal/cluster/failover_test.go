@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -45,6 +46,17 @@ func (tc *testCluster) tryPost(path string, body any) (int, error) {
 	defer resp.Body.Close()
 	var out map[string]any
 	_ = json.NewDecoder(resp.Body).Decode(&out)
+	return resp.StatusCode, nil
+}
+
+// tryGet is tryPost for GET requests.
+func (tc *testCluster) tryGet(path string) (int, error) {
+	resp, err := tc.client.Get(tc.url() + path)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, nil
 }
 
@@ -493,5 +505,188 @@ func TestFailoverNoIDReuse(t *testing.T) {
 	// Old sessions remain reachable, byte-identical, through the new router.
 	if diffs := persisttest.DiffHistories(client, ts2.URL, capture); diffs != nil {
 		t.Errorf("histories drifted through restarted router:\n%s", strings.Join(diffs, "\n"))
+	}
+}
+
+// loadWorker is one session's traffic source in TestFailoverUnderLoad.
+// acked holds the question of every ask the router acknowledged with 200,
+// in send order.
+type loadWorker struct {
+	id         string
+	acked      []string
+	violations []string
+}
+
+// note records a response outside the clean contract: a transport error,
+// which the router exists to absorb, or any status but 200 and 429.
+func (lw *loadWorker) note(code int, err error, op string) {
+	switch {
+	case err != nil:
+		lw.violations = append(lw.violations, fmt.Sprintf("%s: transport error: %v", op, err))
+	case code != http.StatusOK && code != http.StatusTooManyRequests:
+		lw.violations = append(lw.violations, fmt.Sprintf("%s: status %d", op, code))
+	}
+}
+
+// missingAcked returns the first acknowledged question that does not
+// appear, in order, among the history's user turns, or "" when all do. A
+// greedy in-order match: repeated questions and a turn applied twice by a
+// retried forward both match.
+func missingAcked(history []byte, acked []string) string {
+	var h struct {
+		Turns []struct {
+			Role string `json:"role"`
+			Text string `json:"text"`
+		} `json:"turns"`
+	}
+	if err := json.Unmarshal(history, &h); err != nil {
+		return fmt.Sprintf("<unparseable history: %v>", err)
+	}
+	i := 0
+	for _, turn := range h.Turns {
+		if i < len(acked) && turn.Role == "user" && turn.Text == acked[i] {
+			i++
+		}
+	}
+	if i < len(acked) {
+		return acked[i]
+	}
+	return ""
+}
+
+// checkMetricsEndpoint requires base's /v1/metrics to answer 200 with a
+// JSON snapshot whose every histogram has buckets ending in +Inf at its
+// count.
+func checkMetricsEndpoint(client *http.Client, base string) error {
+	resp, err := client.Get(base + "/v1/metrics")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return fmt.Errorf("body did not decode: %v", err)
+	}
+	for name, h := range snap.Histograms {
+		if n := len(h.Buckets); h.Count < 0 || n == 0 || h.Buckets[n-1].LE != "+Inf" || h.Buckets[n-1].Count != h.Count {
+			return fmt.Errorf("histogram %s malformed: %+v", name, h)
+		}
+	}
+	return nil
+}
+
+// TestFailoverUnderLoad is the chaos scenario: twelve sessions drive asks
+// and history reads at a three-node cluster, the busiest node dies
+// crash-style between two phases of traffic, and nobody calls MarkDead, so
+// detection must come from a failing forward or the health loop. Clients
+// see only 200 or 429 throughout. Every turn acknowledged before the kill
+// survives byte for byte as a prefix of the final history, and every turn
+// acknowledged in either phase appears in it in order. The router counts
+// the failover and the promotions and ends with the survivors, new
+// sessions work, and the router's and survivors' metrics stay well-formed.
+func TestFailoverUnderLoad(t *testing.T) {
+	const (
+		sessions = 12
+		opsPhase = 30 // requests per session per phase
+	)
+	rm := obs.NewMetrics()
+	tc := newTestCluster(t, 3, clusterOptions{
+		healthInterval: 25 * time.Millisecond,
+		fsync:          persist.FsyncInterval,
+		routerMetrics:  rm,
+		nodeMetrics:    true,
+		token:          "chaos-token",
+	})
+	questions := factory(t).ds.Examples
+
+	workers := make([]*loadWorker, sessions)
+	for w := range workers {
+		workers[w] = &loadWorker{id: tc.createSession(t)}
+	}
+	drive := func(phase int64) {
+		var wg sync.WaitGroup
+		for w, lw := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(phase*100 + int64(w)))
+				for op := 0; op < opsPhase; op++ {
+					if len(lw.acked) > 0 && rng.Intn(4) == 0 {
+						code, err := tc.tryGet("/v1/sessions/" + lw.id + "/history")
+						lw.note(code, err, "history")
+						continue
+					}
+					q := questions[rng.Intn(len(questions))].Question
+					code, err := tc.tryPost("/v1/sessions/"+lw.id+"/ask", map[string]string{"question": q})
+					lw.note(code, err, "ask")
+					if err == nil && code == http.StatusOK {
+						lw.acked = append(lw.acked, q)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	drive(1)
+	ids := make([]string, sessions)
+	for w, lw := range workers {
+		ids[w] = lw.id
+	}
+	preKill, err := persisttest.Capture(tc.client, tc.url(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := victimWithSessions(t, tc)
+	victimOwned := len(victim.node.Server().SessionIDs())
+	victim.kill(false)
+	drive(2)
+	for i := 0; i < 3; i++ {
+		id := tc.createSession(t)
+		if code, out := tc.ask(t, id, questions[i].Question); code != http.StatusOK {
+			t.Errorf("post-failover ask on new session %s: %d %v", id, code, out)
+		}
+	}
+
+	for _, lw := range workers {
+		for _, v := range lw.violations {
+			t.Errorf("session %s: %s", lw.id, v)
+		}
+		post, err := persisttest.History(tc.client, tc.url(), lw.id)
+		if err != nil {
+			t.Errorf("session %s lost after failover: %v", lw.id, err)
+			continue
+		}
+		if !persisttest.TurnsPrefix(preKill[lw.id], post) {
+			t.Errorf("session %s: pre-kill acknowledged turns are not an intact prefix:\npre:  %s\npost: %s",
+				lw.id, preKill[lw.id], post)
+		}
+		if miss := missingAcked(post, lw.acked); miss != "" {
+			t.Errorf("session %s: acknowledged turn %q lost", lw.id, miss)
+		}
+	}
+	snap := rm.Registry.Snapshot()
+	if got := snap.Counters["fisql_cluster_failovers_total"]; got < 1 {
+		t.Errorf("fisql_cluster_failovers_total = %d, want >= 1", got)
+	}
+	if got := snap.Counters["fisql_cluster_sessions_promoted_total"]; got < int64(victimOwned) {
+		t.Errorf("fisql_cluster_sessions_promoted_total = %d, victim owned %d", got, victimOwned)
+	}
+	if got := len(tc.router.Members()); got != 2 {
+		t.Errorf("%d members after failover, want 2", got)
+	}
+	targets := []string{tc.url()}
+	for _, tn := range tc.nodes {
+		if !tn.killed {
+			targets = append(targets, tn.ts.URL)
+		}
+	}
+	for _, base := range targets {
+		if err := checkMetricsEndpoint(tc.client, base); err != nil {
+			t.Errorf("metrics on %s: %v", base, err)
+		}
 	}
 }

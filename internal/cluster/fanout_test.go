@@ -11,12 +11,14 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -58,10 +60,10 @@ func readFanoutFrame(r *bufio.Reader) (fanoutFrame, error) {
 	}
 }
 
-// subscribeEvents opens the fanout stream through the router. from > 0
-// resumes via Last-Event-ID.
-func subscribeEvents(tc *testCluster, id string, from uint64) (*http.Response, *bufio.Reader, error) {
-	req, err := http.NewRequest(http.MethodGet, tc.url()+"/v1/sessions/"+id+"/events", nil)
+// subscribeEvents opens the fanout stream through the router; it ends when
+// ctx does. from > 0 resumes via Last-Event-ID.
+func subscribeEvents(ctx context.Context, tc *testCluster, id string, from uint64) (*http.Response, *bufio.Reader, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, tc.url()+"/v1/sessions/"+id+"/events", nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -78,24 +80,6 @@ func subscribeEvents(tc *testCluster, id string, from uint64) (*http.Response, *
 		return nil, nil, fmt.Errorf("subscribe: status %d body %s", resp.StatusCode, body)
 	}
 	return resp, bufio.NewReader(resp.Body), nil
-}
-
-// subscribeEventsRetry keeps dialing until the cluster answers the
-// subscription — reconnection during a promotion window can see transport
-// errors, 404 (session not yet adopted) or 502 (no owner resolvable).
-func subscribeEventsRetry(t *testing.T, tc *testCluster, id string, from uint64) (*http.Response, *bufio.Reader) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, br, err := subscribeEvents(tc, id, from)
-		if err == nil {
-			return resp, br
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("could not resubscribe to %s: %v", id, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 func readFrames(t *testing.T, r *bufio.Reader, n int) []fanoutFrame {
@@ -176,7 +160,7 @@ func TestClusterFanoutRoutesToOwner(t *testing.T) {
 	id := tc.createSession(t)
 	plain := tc.askRaw(t, id, askQuestion)
 
-	resp, br, err := subscribeEvents(tc, id, 0)
+	resp, br, err := subscribeEvents(context.Background(), tc, id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,57 +203,122 @@ func TestClusterFanoutRoutesToOwner(t *testing.T) {
 	}
 }
 
+// followEvents reads the session's stream through the router until the
+// delete event. A stream torn by an owner failover resumes from the last
+// delivered id via Last-Event-ID, retrying through the promotion window.
+// attached runs once the first subscription is open.
+func followEvents(ctx context.Context, tc *testCluster, id string, attached func()) ([]fanoutFrame, error) {
+	var frames []fanoutFrame
+	var last uint64
+	deadline := time.Now().Add(30 * time.Second)
+	for first := true; ; first = false {
+		resp, br, err := subscribeEvents(ctx, tc, id, last)
+		if first {
+			attached()
+		}
+		if err != nil {
+			if ctx.Err() != nil || time.Now().After(deadline) {
+				return frames, fmt.Errorf("resubscribe after %d: %v", last, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
+		for {
+			f, err := readFanoutFrame(br)
+			if err != nil {
+				break // torn: resume from last
+			}
+			frames = append(frames, f)
+			if f.name == "delete" {
+				resp.Body.Close()
+				return frames, nil
+			}
+			if last, err = strconv.ParseUint(f.id, 10, 64); err != nil {
+				resp.Body.Close()
+				return frames, fmt.Errorf("frame id %q: %v", f.id, err)
+			}
+		}
+		resp.Body.Close()
+	}
+}
+
 // TestClusterFanoutSubscriberSurvivesFailover is the acceptance scenario:
-// a subscriber is mid-stream when the owner dies; it reconnects through
-// the router with Last-Event-ID and the promoted follower — whose topic
-// was re-seeded by deterministic replay of the replicated journal —
-// continues the sequence with no regress, no gap and no duplicate.
+// four subscribers follow a session through the router while it takes six
+// asks, and its owner dies after the third. Each subscriber's stream is
+// torn, resumes through the router with Last-Event-ID, and the promoted
+// follower — whose topic was re-seeded by deterministic replay of the
+// replicated journal — continues the sequence. Stitched across the
+// failover, every stream is the same gap-free sequence with no dropped
+// marker, ending in the delete, and each done payload is the plain answer
+// body.
 func TestClusterFanoutSubscriberSurvivesFailover(t *testing.T) {
+	const subscribers, asks = 4, 6
 	tc := newTestCluster(t, 3, clusterOptions{})
+	questions := factory(t).ds.Examples
 	id := tc.createSession(t)
-	tc.askRaw(t, id, askQuestion)
+	// A failed run must not leave streams open: closing the test servers
+	// waits for them. Cleanups run last-registered first.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 
-	resp, br, err := subscribeEvents(tc, id, 0)
-	if err != nil {
-		t.Fatal(err)
+	streams := make([][]fanoutFrame, subscribers)
+	errs := make([]error, subscribers)
+	var attached, done sync.WaitGroup
+	attached.Add(subscribers)
+	done.Add(subscribers)
+	for i := range streams {
+		go func() {
+			defer done.Done()
+			streams[i], errs[i] = followEvents(ctx, tc, id, attached.Done)
+		}()
 	}
-	pre := readFrames(t, br, 5) // open + the acknowledged first turn
-	checkFanoutSeq(t, pre, 1, "pre-failover")
+	attached.Wait()
 
-	victim := tc.ownerOf(id)
-	victim.kill(false)
-	// The open stream is torn by the kill; keep any complete frames that
-	// made it through (none are expected — no turn is in flight).
-	pre = append(pre, drainFrames(br)...)
-	resp.Body.Close()
-	tc.router.MarkDead(victim.id)
-
-	last, err := strconv.ParseUint(pre[len(pre)-1].id, 10, 64)
-	if err != nil {
-		t.Fatalf("last frame id %q: %v", pre[len(pre)-1].id, err)
+	var bodies [][]byte
+	for i := 0; i < asks; i++ {
+		if i == asks/2 {
+			victim := tc.ownerOf(id)
+			victim.kill(false)
+			tc.router.MarkDead(victim.id)
+			if tc.ownerOf(id).id == victim.id {
+				t.Fatal("dead node still resolves as owner")
+			}
+		}
+		bodies = append(bodies, tc.askRaw(t, id, questions[i].Question))
 	}
-	resp2, br2 := subscribeEventsRetry(t, tc, id, last)
-	defer resp2.Body.Close()
-
-	if owner := tc.ownerOf(id); owner.id == victim.id {
-		t.Fatal("dead node still resolves as owner")
-	}
-	post := tc.askRaw(t, id, "post-failover question")
-	turn := readFrames(t, br2, 4) // sql, explanation, result, done
 	tc.deleteSession(t, id)
-	tail := drainFrames(br2)
+	finished := make(chan struct{})
+	go func() { done.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("subscribers never saw the end of the stream")
+	}
 
-	stitched := append(append(pre, turn...), tail...)
-	checkFanoutSeq(t, stitched, 1, "stitched stream")
-	for i, f := range stitched {
-		if f.name == "dropped" {
-			t.Fatalf("frame %d is a dropped marker; failover must not lose events", i)
+	const want = 1 + 4*asks + 1 // open, four events per ask, delete
+	for i, frames := range streams {
+		if errs[i] != nil {
+			t.Fatalf("subscriber %d: %v", i, errs[i])
+		}
+		if len(frames) != want {
+			t.Fatalf("subscriber %d saw %d frames, want %d", i, len(frames), want)
+		}
+		checkFanoutSeq(t, frames, 1, fmt.Sprintf("subscriber %d", i))
+		for j, f := range frames {
+			if f.name == "dropped" {
+				t.Fatalf("subscriber %d frame %d is a dropped marker; failover must not lose events", i, j)
+			}
+			if f != streams[0][j] {
+				t.Fatalf("subscriber %d frame %d differs from subscriber 0: %+v vs %+v", i, j, f, streams[0][j])
+			}
 		}
 	}
-	if turn[3].name != "done" || turn[3].data+"\n" != string(post) {
-		t.Errorf("post-failover done payload mismatch: %+v", turn[3])
+	for i, body := range bodies {
+		if done := streams[0][4+4*i]; done.name != "done" || done.data+"\n" != string(body) {
+			t.Errorf("ask %d: frame %+v, want the done event with the plain body %s", i, done, body)
+		}
 	}
-	if len(tail) != 1 || tail[0].name != "delete" {
-		t.Fatalf("stream did not end with a single delete frame: %+v", tail)
+	if last := streams[0][want-1]; last.name != "delete" {
+		t.Errorf("stream ends with %+v, want the delete", last)
 	}
 }

@@ -515,8 +515,7 @@ func (j *Journal) Close() error {
 
 // Crash closes the file descriptor without checkpointing or syncing,
 // leaving the file exactly as the append stream left it — the
-// kill-and-restart simulation used by tests and the loadgen restart
-// scenario.
+// kill-and-restart simulation of the server and cluster crash tests.
 func (j *Journal) Crash() error {
 	j.stopLoop()
 	j.mu.Lock()

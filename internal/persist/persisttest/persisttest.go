@@ -1,14 +1,13 @@
 // Package persisttest is the shared byte-identity checker for journal
 // recovery scenarios. The durability contract — every acknowledged turn
 // survives a crash with a byte-identical /history body — is asserted by the
-// single-node restart scenario (fisql-loadgen -restart), the cluster
-// failover scenario (fisql-loadgen -cluster), and the server and cluster
-// test suites. Before this package each of them carried its own capture-
-// and-diff loop; drifting copies of the one assertion the whole durability
-// story rests on is exactly the bug surface this package removes.
+// server's crash, overload and fanout tests and by the cluster's failover
+// tests. One capture-and-diff implementation serves them all, so the one
+// assertion the whole durability story rests on cannot drift between
+// copies.
 //
-// The helpers are plain functions returning errors (no testing.TB), so the
-// loadgen binary and the test suites share the identical checker.
+// The helpers are plain functions returning errors (no testing.TB), so a
+// test can call them from any goroutine and word its own failure.
 package persisttest
 
 import (

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +20,9 @@ import (
 	"fisql/internal/assistant"
 	"fisql/internal/core"
 	"fisql/internal/llm"
+	"fisql/internal/obs"
+	"fisql/internal/persist"
+	"fisql/internal/persist/persisttest"
 )
 
 // clientFactory is testFactory with the LLM client swapped out, for tests
@@ -304,5 +312,235 @@ func TestAdmissionStress(t *testing.T) {
 			t.Errorf("worker %d: history has %d user turns, client got %d acks — %s",
 				w, users, tl.acked, strconv.Quote(tl.sid))
 		}
+	}
+}
+
+// The overload scenario: a server with real capacity is driven at capacity,
+// then at four times capacity. Capacity is real because every ask reaches
+// the model (the factory has no answer memo), every model call costs an
+// injected 5 ms, and calls are batched as a production deployment would
+// batch them.
+const (
+	overloadAskLimit     = 8
+	overloadFactor       = 4
+	overloadLLMLatency   = 5 * time.Millisecond
+	overloadQueueTimeout = 25 * time.Millisecond
+	overloadPhase        = 1500 * time.Millisecond
+)
+
+// overloadTally aggregates one load phase.
+type overloadTally struct {
+	oks       []time.Duration // latencies of 200 asks, sorted ascending
+	sheds     int64           // 429 responses
+	badSheds  int64           // 429s without a whole-seconds Retry-After or the JSON error body
+	others    int64           // any status that is neither 200 nor 429
+	transport int64           // requests that failed below HTTP
+	ids       []string        // the phase's sessions
+}
+
+// overloadServer serves the scenario's server over a journal at path, with
+// metrics and an ask limit of overloadAskLimit (queue depth the same).
+func overloadServer(t *testing.T, path string) (*httptest.Server, *persist.Journal, *obs.Metrics) {
+	t.Helper()
+	f := factory(t)
+	j, err := persist.Open(path, persist.Options{Fsync: persist.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := llm.NewBatcher(&llm.Flaky{Inner: f.sim, Latency: overloadLLMLatency}, llm.BatcherConfig{})
+	m := obs.NewMetrics()
+	ts := httptest.NewServer(New(map[string]SessionFactory{"aep": &clientFactory{testFactory: f, client: slow}},
+		WithMetrics(m), WithJournal(j),
+		WithAdmission(AdmissionConfig{AskConcurrency: overloadAskLimit, QueueTimeout: overloadQueueTimeout})))
+	return ts, j, m
+}
+
+// driveOverload runs the two phases against base: overloadAskLimit ask
+// loops for overloadPhase, then overloadFactor times as many.
+func driveOverload(t *testing.T, base string) (atCapacity, overloaded overloadTally) {
+	t.Helper()
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 2 * overloadFactor * overloadAskLimit}}
+	defer client.CloseIdleConnections()
+	atCapacity = overloadLoad(t, client, base, overloadAskLimit, 1)
+	overloaded = overloadLoad(t, client, base, overloadFactor*overloadAskLimit, 1001)
+	return atCapacity, overloaded
+}
+
+// overloadLoad drives `workers` ask loops, one session each, for
+// overloadPhase and tallies the outcomes.
+func overloadLoad(t *testing.T, client *http.Client, base string, workers int, seed int64) overloadTally {
+	t.Helper()
+	questions := factory(t).ds.Examples
+	var res overloadTally
+	for w := 0; w < workers; w++ {
+		resp, out, err := postJSONRaw(base+"/v1/sessions", map[string]string{"corpus": "aep"})
+		sid, _ := out["session_id"].(string)
+		if err != nil || resp.StatusCode != http.StatusOK || sid == "" {
+			t.Fatalf("create session: %v %v", err, out)
+		}
+		res.ids = append(res.ids, sid)
+	}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(overloadPhase)
+	for w, sid := range res.ids {
+		wg.Add(1)
+		go func(w int, url string) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(w)))
+			var local overloadTally
+			for time.Now().Before(deadline) {
+				body, _ := json.Marshal(map[string]string{"question": questions[rng.Intn(len(questions))].Question})
+				t0 := time.Now()
+				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+				lat := time.Since(t0)
+				if err != nil {
+					local.transport++
+					continue
+				}
+				switch resp.StatusCode {
+				case http.StatusOK:
+					local.oks = append(local.oks, lat)
+				case http.StatusTooManyRequests:
+					local.sheds++
+					var e struct {
+						Error string `json:"error"`
+					}
+					n, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+					if err != nil || n < 1 || resp.Header.Get("Content-Type") != "application/json" ||
+						json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error == "" {
+						local.badSheds++
+					}
+					// Back off briefly, not for the whole hint: the phase must
+					// keep the server saturated.
+					time.Sleep(time.Millisecond)
+				default:
+					local.others++
+				}
+				drainBody(resp)
+			}
+			mu.Lock()
+			res.oks = append(res.oks, local.oks...)
+			res.sheds += local.sheds
+			res.badSheds += local.badSheds
+			res.others += local.others
+			res.transport += local.transport
+			mu.Unlock()
+		}(w, base+"/v1/sessions/"+sid+"/ask")
+	}
+	wg.Wait()
+	sort.Slice(res.oks, func(i, j int) bool { return res.oks[i] < res.oks[j] })
+	return res
+}
+
+// percentile is the nearest-rank p-th percentile of an ascending slice.
+func percentile(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[(len(sorted)*p+99)/100-1]
+}
+
+// scrapeMetrics fetches /v1/metrics in both forms and fails the test unless
+// both are well-formed: every JSON histogram has buckets ending in +Inf at
+// its count, and the Prometheus text carries types, +Inf buckets and
+// counts.
+func scrapeMetrics(t *testing.T, base string) obs.Snapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics JSON: status %d, %v", resp.StatusCode, err)
+	}
+	if len(snap.Histograms) == 0 {
+		t.Error("metrics snapshot has no histograms")
+	}
+	for name, h := range snap.Histograms {
+		if n := len(h.Buckets); h.Count < 0 || n == 0 || h.Buckets[n-1].LE != "+Inf" || h.Buckets[n-1].Count != h.Count {
+			t.Errorf("histogram %s malformed: %+v", name, h)
+		}
+	}
+	presp, err := http.Get(base + "/v1/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	text, err := io.ReadAll(presp.Body)
+	if err != nil || presp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics text: status %d, %v", presp.StatusCode, err)
+	}
+	for _, want := range []string{"# TYPE ", `_bucket{le="+Inf"}`, "_count"} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("prometheus text missing %q", want)
+		}
+	}
+	return snap
+}
+
+// TestAdmissionOverloadShedsCleanly is the overload scenario's accounting
+// half (the latency half is TestAdmissionOverloadP99, which does not build
+// under -race). Overload may degrade the service only by shedding, and only
+// with a clean 429. The server counts every shed the client saw. A crash
+// after the overload, with a torn tail, recovers every session's history
+// byte for byte: acknowledged turns survive and shed turns leave no trace.
+func TestAdmissionOverloadShedsCleanly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	ts, j, _ := overloadServer(t, path)
+	atCapacity, overloaded := driveOverload(t, ts.URL)
+
+	for _, ph := range []struct {
+		name  string
+		tally overloadTally
+	}{{"at-capacity", atCapacity}, {"overload", overloaded}} {
+		if ph.tally.transport != 0 || ph.tally.others != 0 {
+			t.Errorf("%s phase: %d transport errors, %d statuses neither 200 nor 429",
+				ph.name, ph.tally.transport, ph.tally.others)
+		}
+		if len(ph.tally.oks) == 0 {
+			t.Errorf("%s phase completed no asks", ph.name)
+		}
+	}
+	if overloaded.sheds == 0 {
+		t.Errorf("%dx capacity shed nothing; admission control is not engaging", overloadFactor)
+	}
+	if overloaded.badSheds != 0 {
+		t.Errorf("%d shed responses had an invalid Retry-After or a malformed error body", overloaded.badSheds)
+	}
+
+	snap := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"fisql_admission_ask_admitted_total", "fisql_admission_ask_shed_total"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("metrics missing counter %s", name)
+		}
+	}
+	if _, ok := snap.Histograms["fisql_admission_ask_queue_seconds"]; !ok {
+		t.Error("metrics missing histogram fisql_admission_ask_queue_seconds")
+	}
+	if got, want := snap.Counters["fisql_admission_ask_shed_total"], atCapacity.sheds+overloaded.sheds; got != want {
+		t.Errorf("server shed counter %d != client-observed 429s %d", got, want)
+	}
+
+	ids := append(append([]string(nil), atCapacity.ids...), overloaded.ids...)
+	capture, err := persisttest.Capture(http.DefaultClient, ts.URL, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	appendTornTail(t, path)
+	// Recovery runs on the plain simulated model: the injected latency
+	// models the network, and the answers are the same either way.
+	ts2, j2, _ := journalServer(t, path)
+	defer ts2.Close()
+	defer j2.Close()
+	if diffs := persisttest.DiffHistories(http.DefaultClient, ts2.URL, capture); diffs != nil {
+		t.Errorf("%d of %d histories differ after recovery:\n%s", len(diffs), len(ids), strings.Join(diffs, "\n"))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,27 +57,37 @@ func readFrame(r *bufio.Reader) (sseEvent, error) {
 // reader; from > 0 resumes via the Last-Event-ID header.
 func subscribe(t *testing.T, ts *httptest.Server, sid string, from uint64) (*http.Response, *bufio.Reader) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/sessions/"+sid+"/events", nil)
+	resp, r, err := openEvents(context.Background(), ts.URL, sid, from)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return resp, r
+}
+
+// openEvents is subscribe for goroutines that must report, not fail; the
+// stream ends when ctx does.
+func openEvents(ctx context.Context, base, sid string, from uint64) (*http.Response, *bufio.Reader, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/sessions/"+sid+"/events", nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	if from > 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(from, 10))
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		t.Fatalf("subscribe: status %d body %s", resp.StatusCode, body)
+		return nil, nil, fmt.Errorf("subscribe: status %d body %s", resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		resp.Body.Close()
-		t.Fatalf("subscribe: Content-Type %q", ct)
+		return nil, nil, fmt.Errorf("subscribe: Content-Type %q", ct)
 	}
-	return resp, bufio.NewReader(resp.Body)
+	return resp, bufio.NewReader(resp.Body), nil
 }
 
 // collectUntilEOF reads frames until the stream ends (topic closed).
@@ -695,4 +706,163 @@ func TestEventsSlowSubscriberDoesNotBlockAsks(t *testing.T) {
 		t.Fatalf("asks took %v with a stalled subscriber attached", elapsed)
 	}
 	deleteSession(t, ts, sid)
+}
+
+// The fanout scenario: fanoutFollowers subscribers and one stalled reader
+// watch a session driven through fanoutAsks asks and then deleted. Every
+// follower must see fanoutEvents events: the open event, four per ask and
+// the delete.
+const (
+	fanoutFollowers = 4
+	fanoutAsks      = 6
+	fanoutEvents    = 1 + 4*fanoutAsks + 1
+)
+
+// follow reads sid's fanout stream until the delete event. With
+// dropAfter > 0 it drops its connection once after that many events and
+// resumes from the last id via Last-Event-ID. attached runs once the first
+// subscription is open, resumed once the resume is.
+func follow(ctx context.Context, base, sid string, dropAfter int, attached, resumed func()) ([]sseEvent, error) {
+	resp, r, err := openEvents(ctx, base, sid, 0)
+	attached()
+	if err != nil {
+		return nil, err
+	}
+	var events []sseEvent
+	for {
+		if dropAfter > 0 && len(events) == dropAfter {
+			resp.Body.Close()
+			last, _ := strconv.ParseUint(events[len(events)-1].id, 10, 64)
+			resp, r, err = openEvents(ctx, base, sid, last)
+			resumed()
+			if err != nil {
+				return events, fmt.Errorf("resume after %d: %v", last, err)
+			}
+			dropAfter = 0
+		}
+		ev, err := readFrame(r)
+		if err != nil {
+			resp.Body.Close()
+			return events, fmt.Errorf("stream ended after %d events with no delete: %v", len(events), err)
+		}
+		events = append(events, ev)
+		if ev.name == "delete" {
+			resp.Body.Close()
+			return events, nil
+		}
+	}
+}
+
+// watchSession runs the fanout scenario on a fresh session of ts. The
+// first follower drops its connection after the first half of the asks
+// and resumes with Last-Event-ID before the second half starts; the
+// stalled reader subscribes and never reads a byte. It returns every
+// follower's stream and the ask latencies, sorted.
+func watchSession(t *testing.T, ts *httptest.Server) ([][]sseEvent, []time.Duration) {
+	t.Helper()
+	f := factory(t)
+	sid := newTestSession(t, ts)
+	// A failed run must not leave streams open: ts.Close waits for them.
+	// Cleanups run last-registered first, so this one runs before it.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	streams := make([][]sseEvent, fanoutFollowers)
+	errs := make([]error, fanoutFollowers)
+	var attached, done sync.WaitGroup
+	attached.Add(fanoutFollowers)
+	done.Add(fanoutFollowers)
+	resumed := make(chan struct{})
+	for i := range streams {
+		dropAfter, onResume := 0, func() {}
+		if i == 0 {
+			dropAfter, onResume = 1+4*(fanoutAsks/2), func() { close(resumed) }
+		}
+		go func() {
+			defer done.Done()
+			streams[i], errs[i] = follow(ctx, ts.URL, sid, dropAfter, attached.Done, onResume)
+		}()
+	}
+	attached.Wait()
+
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sessions/"+sid+"/events", nil)
+	stalled, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Body.Close()
+
+	lats := make([]time.Duration, 0, fanoutAsks)
+	for i := 0; i < fanoutAsks; i++ {
+		if i == fanoutAsks/2 {
+			select {
+			case <-resumed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the dropped follower never resumed")
+			}
+		}
+		t0 := time.Now()
+		askPlain(t, ts, sid, f.ds.Examples[i].Question)
+		lats = append(lats, time.Since(t0))
+	}
+	deleteSession(t, ts, sid)
+	finished := make(chan struct{})
+	go func() { done.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("followers never saw the end of the stream")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("follower %d: %v", i, err)
+		}
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return streams, lats
+}
+
+// TestEventsFanoutScenario: four followers, one of which resumes
+// mid-run via Last-Event-ID, and a stalled reader watch a session through
+// six asks and its delete. Every stream is the same gap-free sequence with
+// no dropped marker, and the pubsub metrics account for it: every event
+// published exactly once, the resume counted as a replay, and no
+// subscriber left once the streams close. TestEventsStalledReaderAskP99
+// bounds the asks' latency in the same scenario.
+func TestEventsFanoutScenario(t *testing.T) {
+	m := obs.NewMetrics()
+	ts := fanoutServer(t, WithMetrics(m))
+	streams, _ := watchSession(t, ts)
+	for i, evs := range streams {
+		if len(evs) != fanoutEvents {
+			t.Fatalf("follower %d saw %d events, want %d", i, len(evs), fanoutEvents)
+		}
+		checkContiguous(t, evs, 1, fmt.Sprintf("follower %d", i))
+		for j, ev := range evs {
+			if ev.name == "dropped" {
+				t.Errorf("follower %d event %d is a dropped marker", i, j)
+			}
+			if ev != streams[0][j] {
+				t.Errorf("follower %d event %d differs from follower 0: %+v vs %+v", i, j, ev, streams[0][j])
+			}
+		}
+	}
+
+	snap := m.Registry.Snapshot()
+	if got := snap.Counters["fisql_pubsub_published_total"]; got != fanoutEvents {
+		t.Errorf("fisql_pubsub_published_total = %d, want %d", got, fanoutEvents)
+	}
+	if got := snap.Counters["fisql_pubsub_replays_total"]; got < 1 {
+		t.Errorf("fisql_pubsub_replays_total = %d, want >= 1 (one follower resumed)", got)
+	}
+	// The stalled reader's handler ends on its own once the topic closes;
+	// give it time to unsubscribe.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		got := m.Registry.Snapshot().Gauges["fisql_pubsub_subscribers"]
+		if got == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fisql_pubsub_subscribers = %d after every stream closed, want 0", got)
+		}
+	}
 }

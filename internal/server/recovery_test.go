@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"fisql/internal/persist"
+	"fisql/internal/persist/persisttest"
 )
 
 const askQuestion = "How many audiences were created in January?"
@@ -456,5 +457,87 @@ func TestJournalConcurrentStress(t *testing.T) {
 				t.Errorf("session %s history drifted:\npre:  %q\npost: %q", r.id, r.history, got)
 			}
 		}
+	}
+}
+
+// tornTail is a partial record frame: a length prefix promising 64 bytes,
+// then 3 bytes of garbage. It is the tail a write interrupted mid-frame
+// leaves behind; it was never acknowledged to anyone.
+var tornTail = []byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe}
+
+func appendTornTail(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tornTail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restartSessions is the size of the kill-and-restart workload.
+const restartSessions = 300
+
+// journalRestartWorkload journals restartSessions sessions at path: each
+// asks once and every third also sends feedback, so replay runs both
+// pipeline paths. It captures every history, crashes the journal and
+// appends the torn tail, and returns the captures.
+func journalRestartWorkload(t *testing.T, path string) map[string][]byte {
+	t.Helper()
+	f := factory(t)
+	feedback := []string{"we are in 2024", "only show the top 5", "sort the results by the first column",
+		"remove the limit", "count them instead"}
+	j, err := persist.Open(path, persist.Options{Fsync: persist.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(map[string]SessionFactory{"aep": f}, WithJournal(j)))
+	ids := make([]string, restartSessions)
+	for i := range ids {
+		ids[i] = createSession(t, ts)
+		base := ts.URL + "/v1/sessions/" + ids[i]
+		if resp, out := postJSON(t, base+"/ask", map[string]string{
+			"question": f.ds.Examples[i%len(f.ds.Examples)].Question}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ask %d: %d %v", i, resp.StatusCode, out)
+		}
+		if i%3 == 0 {
+			if resp, out := postJSON(t, base+"/feedback", map[string]string{
+				"text": feedback[i%len(feedback)]}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("feedback %d: %d %v", i, resp.StatusCode, out)
+			}
+		}
+	}
+	capture, err := persisttest.Capture(http.DefaultClient, ts.URL, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	appendTornTail(t, path)
+	return capture
+}
+
+// TestCrashRecoveryTornTailAtScale is the kill-and-restart workload at
+// 300 sessions: recovery drops exactly the 7-byte torn tail and every
+// history comes back byte-identical. TestCrashRecoveryBudget times the
+// same recovery.
+func TestCrashRecoveryTornTailAtScale(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	capture := journalRestartWorkload(t, path)
+
+	ts, j, srv := journalServer(t, path)
+	defer ts.Close()
+	defer j.Close()
+	if rec := srv.Recovery(); rec.TruncatedBytes != int64(len(tornTail)) || rec.Sessions != restartSessions {
+		t.Errorf("recovery %+v, want %d sessions and %d truncated bytes", rec, restartSessions, len(tornTail))
+	}
+	if diffs := persisttest.DiffHistories(http.DefaultClient, ts.URL, capture); diffs != nil {
+		t.Errorf("%d of %d histories differ after recovery:\n%s", len(diffs), len(capture), strings.Join(diffs, "\n"))
 	}
 }
