@@ -153,7 +153,7 @@ func TestTrimmedResultDoesNotPinArena(t *testing.T) {
 				kept += len(r)
 			}
 			// Twice the kept values and row headers, plus the Result, its
-			// header and some noise: a 10 000-row arena is ~480 KB.
+			// header and some noise: a 10 000-row arena is ~320 KB.
 			limit := 2*int64(kept)*int64(unsafe.Sizeof(Value{})) +
 				2*int64(len(res.Rows))*int64(unsafe.Sizeof([]Value{})) + 16<<10
 			if held > limit {

@@ -236,7 +236,7 @@ func literalValue(e sqlast.Expr, t Type) (Value, error) {
 			case TypeInt:
 				return Int(-v.I), nil
 			case TypeFloat:
-				return Float(-v.F), nil
+				return Float(-v.Real()), nil
 			}
 		}
 	}

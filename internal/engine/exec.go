@@ -719,7 +719,7 @@ func (ex *Executor) eval(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (Value, error
 			case TypeInt:
 				return Int(-v.I), nil
 			case TypeFloat:
-				return Float(-v.F), nil
+				return Float(-v.Real()), nil
 			case TypeNull:
 				return Null(), nil
 			}
@@ -1197,8 +1197,8 @@ func (ex *Executor) evalFunc(x *sqlast.FuncCall, env *rowEnv, ctx *evalCtx) (Val
 			}
 			return args[0], nil
 		case TypeFloat:
-			if args[0].F < 0 {
-				return Float(-args[0].F), nil
+			if args[0].Real() < 0 {
+				return Float(-args[0].Real()), nil
 			}
 			return args[0], nil
 		}
@@ -1446,7 +1446,9 @@ func (ex *Executor) limitRows(sel *sqlast.SelectStmt, res *Result, outer *rowEnv
 		if err != nil {
 			return err
 		}
-		off = ov.I
+		if ov.T == TypeInt {
+			off = ov.I
+		}
 	}
 	n, _ := lim.AsFloat()
 	limit := int(n)

@@ -38,7 +38,7 @@ func intKey(v Value) (int64, bool) {
 		}
 		return 0, true
 	case TypeFloat:
-		if f := v.F; f >= -0x1p63 && f < 0x1p63 && f == float64(int64(f)) {
+		if f := v.Real(); f >= -0x1p63 && f < 0x1p63 && f == float64(int64(f)) {
 			return int64(f), true
 		}
 	}
@@ -57,7 +57,7 @@ func (v Value) appendKey(dst []byte) []byte {
 	case TypeNull:
 		return append(dst, "\x00N"...)
 	case TypeFloat:
-		return strconv.AppendFloat(append(dst, '#'), v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, '#'), v.Real(), 'g', -1, 64)
 	case TypeText:
 		dst = strconv.AppendInt(append(dst, 's'), int64(len(v.S)), 10)
 		return append(append(dst, ':'), v.S...)
@@ -108,8 +108,8 @@ func (x *keyIndex) id1(v Value) (int32, bool) {
 	}
 	switch v.T {
 	case TypeFloat:
-		b := math.Float64bits(v.F)
-		if v.F != v.F {
+		b := math.Float64bits(v.Real())
+		if v.Real() != v.Real() {
 			b = math.Float64bits(math.NaN())
 		}
 		return keyID(x, &x.bits, b)
@@ -156,7 +156,7 @@ func (d keyDomain) with(v Value) keyDomain {
 	case TypeInt:
 		return d.merge(domNum)
 	case TypeFloat:
-		if math.IsNaN(v.F) {
+		if math.IsNaN(v.Real()) {
 			return domMixed
 		}
 		return d.merge(domNum)

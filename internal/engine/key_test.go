@@ -48,15 +48,15 @@ func groupKeyRef(v Value) groupRef {
 		}
 		return groupRef{kind: 'i'}
 	case TypeFloat:
-		if math.IsNaN(v.F) {
+		if math.IsNaN(v.Real()) {
 			return groupRef{kind: 'f'}
 		}
-		if !math.IsInf(v.F, 0) {
-			if i, acc := big.NewFloat(v.F).Int64(); acc == big.Exact {
+		if !math.IsInf(v.Real(), 0) {
+			if i, acc := big.NewFloat(v.Real()).Int64(); acc == big.Exact {
 				return groupRef{kind: 'i', i: i}
 			}
 		}
-		return groupRef{kind: 'f', bits: math.Float64bits(v.F)}
+		return groupRef{kind: 'f', bits: math.Float64bits(v.Real())}
 	}
 	return groupRef{kind: 's', s: v.S}
 }

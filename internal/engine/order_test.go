@@ -93,7 +93,7 @@ func homogeneous(nk int, rows [][]Value) bool {
 			case v.IsNull():
 			case v.T == TypeText:
 				text = true
-			case v.T == TypeFloat && math.IsNaN(v.F):
+			case v.T == TypeFloat && math.IsNaN(v.Real()):
 				return false
 			default:
 				num = true

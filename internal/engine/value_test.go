@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCompareOrdering(t *testing.T) {
@@ -106,13 +108,39 @@ func TestTruthy(t *testing.T) {
 	}
 }
 
+// TestValueLayout pins the 32-byte Value: a REAL round-trips its exact bits
+// through I, and every value that is neither INT nor REAL has I == 0, so an
+// unguarded read of I sees 0 for it.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Errorf("Value is %d bytes, want 32", n)
+	}
+	for _, x := range []float64{
+		math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), // a NaN with a payload
+		math.Inf(1),
+		math.Inf(-1),
+		math.SmallestNonzeroFloat64,
+		math.MaxFloat64,
+	} {
+		if got := Float(x).Real(); math.Float64bits(got) != math.Float64bits(x) {
+			t.Errorf("Float(%v).Real() has bits %#x, want %#x", x, math.Float64bits(got), math.Float64bits(x))
+		}
+	}
+	for _, v := range []Value{Text(""), Text("abc"), Bool(true), Bool(false), Null()} {
+		if v.I != 0 {
+			t.Errorf("%v (%s) has I = %d, want 0", v, v.T, v.I)
+		}
+	}
+}
+
 func TestParseLiteral(t *testing.T) {
 	v, err := ParseLiteral("42", TypeInt)
 	if err != nil || v.I != 42 {
 		t.Errorf("int: %v, %v", v, err)
 	}
 	v, err = ParseLiteral("3.5", TypeFloat)
-	if err != nil || v.F != 3.5 {
+	if err != nil || v.Real() != 3.5 {
 		t.Errorf("float: %v, %v", v, err)
 	}
 	v, err = ParseLiteral("TRUE", TypeBool)
