@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -206,8 +207,9 @@ func TestClusterFanoutRoutesToOwner(t *testing.T) {
 // followEvents reads the session's stream through the router until the
 // delete event. A stream torn by an owner failover resumes from the last
 // delivered id via Last-Event-ID, retrying through the promotion window.
-// attached runs once the first subscription is open.
-func followEvents(ctx context.Context, tc *testCluster, id string, attached func()) ([]fanoutFrame, error) {
+// attached runs once the first subscription is open; seen holds the last
+// delivered id.
+func followEvents(ctx context.Context, tc *testCluster, id string, attached func(), seen *atomic.Uint64) ([]fanoutFrame, error) {
 	var frames []fanoutFrame
 	var last uint64
 	deadline := time.Now().Add(30 * time.Second)
@@ -237,6 +239,7 @@ func followEvents(ctx context.Context, tc *testCluster, id string, attached func
 				resp.Body.Close()
 				return frames, fmt.Errorf("frame id %q: %v", f.id, err)
 			}
+			seen.Store(last)
 		}
 		resp.Body.Close()
 	}
@@ -263,13 +266,14 @@ func TestClusterFanoutSubscriberSurvivesFailover(t *testing.T) {
 
 	streams := make([][]fanoutFrame, subscribers)
 	errs := make([]error, subscribers)
+	seen := make([]atomic.Uint64, subscribers)
 	var attached, done sync.WaitGroup
 	attached.Add(subscribers)
 	done.Add(subscribers)
 	for i := range streams {
 		go func() {
 			defer done.Done()
-			streams[i], errs[i] = followEvents(ctx, tc, id, attached.Done)
+			streams[i], errs[i] = followEvents(ctx, tc, id, attached.Done, &seen[i])
 		}()
 	}
 	attached.Wait()
@@ -285,6 +289,20 @@ func TestClusterFanoutSubscriberSurvivesFailover(t *testing.T) {
 			}
 		}
 		bodies = append(bodies, tc.askRaw(t, id, questions[i].Question))
+	}
+	// A stream torn by the kill resumes on a 20 ms retry. One that has not
+	// resumed when the session is deleted finds it gone and never sees the
+	// delete, so the delete waits until every stream has delivered the
+	// last ask's done event.
+	const lastDone = 1 + 4*asks
+	resumed := time.Now().Add(30 * time.Second)
+	for i := range seen {
+		for seen[i].Load() < lastDone {
+			if time.Now().After(resumed) {
+				t.Fatalf("subscriber %d is at id %d, want %d before the delete", i, seen[i].Load(), lastDone)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 	tc.deleteSession(t, id)
 	finished := make(chan struct{})
