@@ -34,8 +34,6 @@ func main() {
 		"row-count multiplier: scale every database to N times its base rows (questions and gold SQL are unchanged and runs stay deterministic; execution-match accuracy can shift slightly because results are computed over the scaled data)")
 	requireColumnar := flag.Bool("require-columnar", false,
 		"fail unless the engine's vectorized columnar path served queries and none fell back to the row executor (CI guard)")
-	ragIndex := flag.String("rag-index", "exact",
-		"demonstration retrieval index: exact (linear scan) or hnsw (sublinear graph + exact rerank; results are byte-identical)")
 	flag.Parse()
 
 	if *rows < 1 {
@@ -48,11 +46,6 @@ func main() {
 	ae, err := fisql.NewExperiencePlatformSystemRows(*rows)
 	if err != nil {
 		log.Fatalf("build experience-platform corpus: %v", err)
-	}
-	for _, sys := range []*fisql.System{sp, ae} {
-		if err := sys.SetDemoIndex(*ragIndex); err != nil {
-			log.Fatalf("-rag-index: %v", err)
-		}
 	}
 	r := runner{sp: sp, ae: ae, ctx: context.Background(), export: eval.NewExport(), workers: *workers}
 	if *metrics {

@@ -110,8 +110,6 @@ type stageJSON struct {
 func main() {
 	log.SetFlags(0)
 	corpus := flag.String("corpus", "aep", "corpus to drive: aep or spider")
-	ragIndex := flag.String("rag-index", "exact",
-		"demonstration retrieval index of the in-process server: exact or hnsw")
 	ragFold := flag.Bool("rag-fold", false,
 		"fold successful feedback corrections back into the in-process server's retrieval store")
 	sessions := flag.Int("sessions", 32, "concurrent sessions (one worker each)")
@@ -142,9 +140,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatalf("build corpus: %v", err)
-	}
-	if err := sys.SetDemoIndex(*ragIndex); err != nil {
-		log.Fatalf("-rag-index: %v", err)
 	}
 	sys.FoldFeedback = *ragFold
 	questionsByDB := map[string][]string{}

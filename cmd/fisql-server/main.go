@@ -116,8 +116,6 @@ func main() {
 		"Retry-After hint on load-shedding 429 responses (rounded up to whole seconds)")
 	pubsubRing := flag.Int("pubsub-ring", 0,
 		"per-session event-fanout ring capacity in events; a /v1/sessions/{id}/events subscriber can resume via Last-Event-ID from at most this far back before the gap is reported as dropped (0 for the default, 256)")
-	ragIndex := flag.String("rag-index", "exact",
-		"demonstration retrieval index: exact (linear scan) or hnsw (sublinear graph + exact rerank)")
 	ragFold := flag.Bool("rag-fold", false,
 		"fold successful feedback corrections back into the retrieval store as new demonstrations")
 	clusterNode := flag.String("cluster-node", "",
@@ -151,9 +149,6 @@ func main() {
 		log.Fatalf("build experience-platform corpus: %v", err)
 	}
 	for _, sys := range []*fisql.System{sp, ae} {
-		if err := sys.SetDemoIndex(*ragIndex); err != nil {
-			log.Fatalf("-rag-index: %v", err)
-		}
 		sys.FoldFeedback = *ragFold
 	}
 	if *llmBatch > 0 {

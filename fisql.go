@@ -19,7 +19,6 @@
 package fisql
 
 import (
-	"fmt"
 	"time"
 
 	"fisql/internal/assistant"
@@ -103,19 +102,6 @@ type System struct {
 	FoldFeedback bool
 }
 
-// SetDemoIndex rebuilds the retrieval store over the corpus demonstrations
-// with the named index ("exact" — the default linear scan — or "hnsw", the
-// sublinear graph index with exact rerank). Call before creating assistants
-// or sessions; they capture the store at construction.
-func (s *System) SetDemoIndex(kind string) error {
-	k, ok := rag.ParseIndexKind(kind)
-	if !ok {
-		return fmt.Errorf("unknown demo index %q (want %q or %q)", kind, rag.IndexExact, rag.IndexHNSW)
-	}
-	s.Store = rag.NewStoreOptions(s.DS.Demos, rag.Options{Index: k})
-	return nil
-}
-
 // Observe registers the system's cache statistics on a metrics registry:
 // plan-cache and answer-memo hit/miss counters plus live-entry gauges. The
 // sources are the always-on atomic tallies the caches keep anyway, read at
@@ -138,14 +124,11 @@ func (s *System) Observe(r *obs.Registry) {
 	}
 	if st := s.Store; st != nil {
 		// Retrieval-store counters: search/hit volume, the feedback-fold
-		// insert rate (inserts + dedup skips), live library size, and the
-		// index-probe count that proves which index implementation is
-		// actually serving (the CI differential gate reads the same source).
+		// insert rate (inserts + dedup skips) and live library size.
 		r.CounterFunc("fisql_rag_searches_total", func() int64 { return st.Stats().Searches })
 		r.CounterFunc("fisql_rag_hits_total", func() int64 { return st.Stats().Hits })
 		r.CounterFunc("fisql_rag_inserts_total", func() int64 { return st.Stats().Inserts })
 		r.CounterFunc("fisql_rag_dup_skips_total", func() int64 { return st.Stats().DupSkips })
-		r.CounterFunc("fisql_rag_index_probes_total", func() int64 { return st.Stats().IndexProbes })
 		r.GaugeFunc("fisql_rag_entries", func() int64 { return int64(st.Len()) })
 		lat := r.Histogram("fisql_rag_search_seconds", nil)
 		st.SetSearchObserver(func(d time.Duration) { lat.Observe(d) })

@@ -25,12 +25,9 @@ var scaleWords = []string{
 //
 // The per-variant lexical spread matters beyond realism: variants that
 // differ only by same-weight suffix tokens would have identical norms and
-// therefore produce exact score ties against any query, and a thousand-way
-// tie group forces the HNSW beam search to expand the entire cluster
-// before it can terminate (ties cannot be cut without losing the
-// pool-order tie-break). Dropping a different base word per variant makes
-// scores genuinely distinct, so scaled pools measure graph navigation, not
-// tie-group flooding.
+// therefore produce exact score ties against any query, so a top-k would
+// be decided by pool order alone. Dropping a different base word per
+// variant makes scores genuinely distinct.
 //
 // The original demos come first, byte-identical, at any multiplier
 // (mirroring the engine's row scaling in PR 7), and every entry is unique

@@ -79,9 +79,8 @@ type RunOptions struct {
 	// atomic, so concurrent workers fold observations in without locking.
 	Obs *obs.Metrics
 	// Store overrides the retrieval store used for demonstration selection
-	// (for example a store built with the HNSW index); nil builds the
-	// default exact store over ds.Demos. Ignored when k == 0 — zero-shot
-	// runs retrieve nothing.
+	// (for example one grown by folded feedback); nil builds a store over
+	// ds.Demos. Ignored when k == 0 — zero-shot runs retrieve nothing.
 	Store *rag.Store
 }
 

@@ -173,10 +173,10 @@ func (b *Batcher) Stats() BatcherStats {
 // opens one) and blocks until the batch's backend call delivers its slot. A
 // canceled ctx abandons the slot without disturbing the other callers.
 func (b *Batcher) Complete(ctx context.Context, req Request) (Response, error) {
+	b.calls.Add(1)
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	b.calls.Add(1)
 
 	b.mu.Lock()
 	bat := b.cur

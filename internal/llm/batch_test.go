@@ -349,3 +349,21 @@ func TestBatcherStress(t *testing.T) {
 		t.Errorf("calls=%d, want %d", st.Calls, workers*perWorker)
 	}
 }
+
+// A call whose context is already canceled returns at once, reaches no
+// batch, and still counts in Calls ("requests entering Complete").
+func TestBatcherCountsCanceledCall(t *testing.T) {
+	be := &recordingBackend{}
+	b := NewBatcher(be, BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := b.Complete(ctx, Request{Prompt: "p"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := b.Stats(); st.Calls != 1 || st.Batched != 0 {
+		t.Fatalf("stats: calls=%d batched=%d, want 1/0", st.Calls, st.Batched)
+	}
+	if got := be.snapshot(); len(got) != 0 {
+		t.Fatalf("backend saw %d batches", len(got))
+	}
+}

@@ -2,14 +2,9 @@
 // the Assistant: a TF-IDF vector index over the demonstration pool with
 // cosine-similarity top-k search, filtered per database.
 //
-// The pool is served through a pluggable Index (see index.go): the exact
-// index scans every posting list (the seed behavior), the HNSW index
-// (hnsw.go) navigates an approximate-nearest-neighbor graph and hands its
-// candidate set to an exact rerank, so retrieval cost stays near-flat as the
-// pool grows. Either way the top-k that Search returns is computed by the
-// same exact cosine scoring and pool-order tie-break, which is what makes
-// the two indexes byte-identical on corpora the HNSW candidates cover (the
-// retrieval differential gate holds this at zero misses).
+// Search is an exact scan: it scores every demonstration in the requested
+// database partition (or the whole pool) and keeps the top k, breaking
+// score ties by pool order.
 //
 // Unlike the seed store, a Store is mutable: Add folds new demonstrations —
 // the serving path's successful feedback corrections — into the pool at any
@@ -63,7 +58,10 @@ type Store struct {
 	// inserts.
 	baseN int
 	seen  map[demoKey]struct{}
-	index Index
+	// all lists every demo id in pool order; byDB the same per database.
+	// Search scans one of them.
+	all  []int32
+	byDB map[string][]int32
 
 	searches atomic.Int64
 	hits     atomic.Int64
@@ -72,19 +70,6 @@ type Store struct {
 	// searchObs, when set, observes every Search's wall time (the serving
 	// path's fisql_rag_search_seconds histogram).
 	searchObs atomic.Value // func(time.Duration)
-}
-
-// Options configures a Store build.
-type Options struct {
-	// Index selects the retrieval index: IndexExact (default) or IndexHNSW.
-	Index IndexKind
-	// HNSW parameterizes the HNSW graph when Index is IndexHNSW; zero
-	// fields take defaults.
-	HNSW HNSWConfig
-	// Workers bounds the build's worker pool (0 = GOMAXPROCS, 1 = serial).
-	// The built store — document frequencies, IDF table and every vector —
-	// is bit-identical at any worker count.
-	Workers int
 }
 
 // Tokenize splits text into lowercase alphanumeric terms.
@@ -144,26 +129,24 @@ func appendTokensRunes(dst []string, text string) []string {
 	return dst
 }
 
-// NewStore indexes the demonstration pool with the exact scan index and
-// default build parallelism — the drop-in equivalent of the seed store.
+// NewStore indexes the demonstration pool, with one build worker per
+// GOMAXPROCS.
 func NewStore(demos []dataset.Demo) *Store {
-	return NewStoreOptions(demos, Options{})
+	return newStore(demos, 0)
 }
 
-// NewStoreOptions indexes the demonstration pool. The tokenize/IDF/vector
-// passes run on a worker pool; document frequencies merge by integer
-// addition and each vector is a pure function of its demo and the merged
-// IDF table, so the build is deterministic at any worker count. The index
-// itself is populated serially in pool order, which keeps HNSW graph
-// construction reproducible.
-func NewStoreOptions(demos []dataset.Demo, opt Options) *Store {
+// newStore indexes the demonstration pool on at most workers goroutines
+// (0 = GOMAXPROCS). Document frequencies merge by integer addition and each
+// vector is a pure function of its demo and the merged IDF table, so the
+// built store is bit-identical at any worker count.
+func newStore(demos []dataset.Demo, workers int) *Store {
 	s := &Store{
 		demos: demos,
 		idf:   make(map[string]float64),
 		baseN: len(demos),
 		seen:  make(map[demoKey]struct{}, len(demos)),
+		byDB:  make(map[string][]int32),
 	}
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -215,24 +198,18 @@ func NewStoreOptions(demos []dataset.Demo, opt Options) *Store {
 		}
 	})
 
-	// Pass 3: populate the index serially in pool order (reproducible HNSW
-	// builds) and the dedup set.
-	switch opt.Index {
-	case IndexHNSW:
-		s.index = newHNSWIndex(opt.HNSW)
-	default:
-		s.index = newExactIndex()
-	}
+	// Pass 3: fill the partitions and the dedup set in pool order.
 	for i, d := range demos {
 		s.seen[demoKey{d.DB, d.Question, d.SQL}] = struct{}{}
-		s.index.Insert(i, d.DB, s.vecs[i])
-	}
-	// A bulk build is the one moment the whole graph is known; let the index
-	// settle its memory layout before serving (no-op for the exact scan).
-	if o, ok := s.index.(interface{ optimize() }); ok {
-		o.optimize()
+		s.insert(i, d.DB)
 	}
 	return s
+}
+
+// insert appends demo id to the whole-pool and per-database scan lists.
+func (s *Store) insert(id int, db string) {
+	s.all = append(s.all, int32(id))
+	s.byDB[db] = append(s.byDB[db], int32(id))
 }
 
 // runChunks splits [0, n) into one contiguous chunk per worker and runs fn
@@ -356,14 +333,6 @@ func (sc *queryScratch) release() {
 // Search returns the top-k demonstrations for the query, restricted to the
 // given database (empty db means no restriction). Ties break by pool order
 // for determinism. k <= 0 returns nil.
-//
-// The index supplies a candidate id set (the whole db partition for the
-// exact index, an ANN neighborhood for HNSW); every candidate is then
-// re-scored with the exact cosine and selected by the exact path's
-// descending-score, pool-order-tie-break rule. Candidate ids arrive in
-// ascending pool order, so whenever the candidate set covers the true
-// top-k, the result — demos, scores and order — is byte-identical to an
-// exact scan.
 func (s *Store) Search(query, db string, k int) []Result {
 	if k <= 0 {
 		return nil
@@ -380,7 +349,10 @@ func (s *Store) Search(query, db string, k int) []Result {
 	s.mu.RLock()
 	qv := s.vectorInto(sc.qv[:0], sc.toks)
 	sc.qv = qv
-	cands := s.index.Candidates(qv, db, k)
+	cands := s.all
+	if db != "" {
+		cands = s.byDB[db]
+	}
 	// Bounded top-k selection: keep at most k hits, ordered by descending
 	// score with pool order breaking ties. Inserting each new hit after all
 	// entries scoring >= its score reproduces exactly what a stable
@@ -434,9 +406,8 @@ func (s *Store) Add(d dataset.Demo) bool {
 	s.seen[key] = struct{}{}
 	id := len(s.demos)
 	s.demos = append(s.demos, d)
-	vec := s.vector(Tokenize(d.Question))
-	s.vecs = append(s.vecs, vec)
-	s.index.Insert(id, d.DB, vec)
+	s.vecs = append(s.vecs, s.vector(Tokenize(d.Question)))
+	s.insert(id, d.DB)
 	s.mu.Unlock()
 	s.inserts.Add(1)
 	return true
@@ -448,9 +419,6 @@ func (s *Store) Len() int {
 	defer s.mu.RUnlock()
 	return len(s.demos)
 }
-
-// IndexKindName reports which index implementation serves this store.
-func (s *Store) IndexKindName() string { return s.index.Kind() }
 
 // SetSearchObserver installs fn to observe every Search's wall time (nil
 // disables). Used by the serving path's retrieval latency histogram.
@@ -471,10 +439,6 @@ type Stats struct {
 	Searches, Hits int64
 	// Inserts counts successful Adds, DupSkips deduplicated ones.
 	Inserts, DupSkips int64
-	// Index names the index implementation; IndexProbes counts the searches
-	// it actually served (the CI gate that HNSW is not silently bypassed).
-	Index       string
-	IndexProbes int64
 }
 
 // Stats snapshots the store's counters.
@@ -482,8 +446,6 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	entries := len(s.demos)
 	base := s.baseN
-	kind := s.index.Kind()
-	probes := s.index.Probes()
 	s.mu.RUnlock()
 	return Stats{
 		Entries:  entries,
@@ -492,6 +454,5 @@ func (s *Store) Stats() Stats {
 		Hits:     s.hits.Load(),
 		Inserts:  s.inserts.Load(),
 		DupSkips: s.dups.Load(),
-		Index:    kind, IndexProbes: probes,
 	}
 }

@@ -2,123 +2,8 @@ package fisql
 
 import (
 	"context"
-	"fmt"
-	"reflect"
 	"testing"
-
-	"fisql/internal/dataset"
-	"fisql/internal/eval"
-	"fisql/internal/rag"
 )
-
-// TestRetrievalDifferential is the full-corpus byte-identity gate for the
-// HNSW index: over both benchmark corpora, at the base pool and at a 32x
-// demo-scaled pool (large enough that every partition is above the default
-// ef, so the graph is genuinely traversed rather than served by the
-// whole-partition fallback), HNSW + exact rerank must return exactly what
-// the linear scan returns — same demos, same order, bit-equal scores — for
-// every example and demonstration question. It also fails if the HNSW store
-// did not actually serve the probes (the exact path silently substituting
-// would otherwise pass trivially).
-func TestRetrievalDifferential(t *testing.T) {
-	sp, err := NewSpiderSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ae, err := NewExperiencePlatformSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		corpus string
-		sys    *System
-		mult   int
-	}{
-		{"spider", sp, 1},
-		{"aep", ae, 1},
-		{"spider-32x", sp, 32},
-		{"aep-32x", ae, 32},
-	} {
-		t.Run(tc.corpus, func(t *testing.T) {
-			demos := dataset.ScaleDemos(tc.sys.DS.Demos, tc.mult)
-			exact := rag.NewStoreOptions(demos, rag.Options{Index: rag.IndexExact})
-			hnsw := rag.NewStoreOptions(demos, rag.Options{Index: rag.IndexHNSW})
-
-			compare := func(q, db string, k int) {
-				t.Helper()
-				want := exact.Search(q, db, k)
-				got := hnsw.Search(q, db, k)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("retrieval diverged: q=%q db=%q k=%d\nexact: %+v\nhnsw:  %+v",
-						q, db, k, summarize(want), summarize(got))
-				}
-			}
-			for _, e := range tc.sys.DS.Examples {
-				compare(e.Question, e.DB, tc.sys.K)
-				compare(e.Question, e.DB, 1)
-			}
-			for i, d := range tc.sys.DS.Demos {
-				compare(d.Question, d.DB, tc.sys.K)
-				if i%7 == 0 { // cross-db searches, sampled for time
-					compare(d.Question, "", tc.sys.K)
-				}
-			}
-			st := hnsw.Stats()
-			if st.Index != string(rag.IndexHNSW) {
-				t.Fatalf("store served by %q, want hnsw", st.Index)
-			}
-			if st.IndexProbes == 0 {
-				t.Fatal("hnsw index served no probes — exact path silently used")
-			}
-		})
-	}
-}
-
-func summarize(rs []rag.Result) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = fmt.Sprintf("%q@%.6f", r.Demo.Question, r.Score)
-	}
-	return out
-}
-
-// TestEvalAccuracyUnchangedWithHNSW re-runs full-corpus generation with the
-// HNSW store and requires accuracy AND every generated SQL to match the
-// exact store's run: byte-identical retrieval must mean byte-identical
-// prompts, generations and metrics.
-func TestEvalAccuracyUnchangedWithHNSW(t *testing.T) {
-	ctx := context.Background()
-	for _, build := range []func() (*System, error){NewSpiderSystem, NewExperiencePlatformSystem} {
-		sys, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, baseAcc, err := eval.RunGenerationOpts(ctx, sys.Client, sys.DS, sys.K, eval.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.SetDemoIndex("hnsw"); err != nil {
-			t.Fatal(err)
-		}
-		got, gotAcc, err := eval.RunGenerationOpts(ctx, sys.Client, sys.DS, sys.K,
-			eval.RunOptions{Store: sys.Store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseAcc != gotAcc {
-			t.Fatalf("%s: accuracy shifted under hnsw: %+v -> %+v", sys.DS.Name, baseAcc, gotAcc)
-		}
-		for i := range base {
-			if base[i].SQL != got[i].SQL {
-				t.Fatalf("%s: generation diverged on %s:\nexact: %s\nhnsw:  %s",
-					sys.DS.Name, base[i].Example.ID, base[i].SQL, got[i].SQL)
-			}
-		}
-		if sys.Store.Stats().IndexProbes == 0 {
-			t.Fatal("hnsw index not exercised by generation run")
-		}
-	}
-}
 
 // TestSessionFoldsFeedback drives the quickstart correction flow on a
 // FoldFeedback system and checks the successful correction lands in the
@@ -127,9 +12,6 @@ func TestEvalAccuracyUnchangedWithHNSW(t *testing.T) {
 func TestSessionFoldsFeedback(t *testing.T) {
 	sys, err := NewExperiencePlatformSystem()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetDemoIndex("hnsw"); err != nil {
 		t.Fatal(err)
 	}
 	sys.FoldFeedback = true
