@@ -61,24 +61,21 @@ type Answer struct {
 	ExecErr error
 
 	// wire caches one transport encoding of this Answer (the REST server's
-	// JSON body). Answers are immutable, so any encoding is too; rendering
-	// once per Answer lets every session sharing a memoized Answer skip
+	// stage payloads and JSON body). Answers are immutable, so any encoding
+	// is too; encoding once per Answer lets every turn served by it, memo
+	// hits and replayed turns included, publish the cached bytes instead of
 	// re-serializing the result rows. Opaque to this package.
-	wire atomic.Value // []byte
+	wire atomic.Value
 }
 
 // Wire returns the cached transport encoding, or nil if none was set.
-func (a *Answer) Wire() []byte {
-	if b, ok := a.wire.Load().([]byte); ok {
-		return b
-	}
-	return nil
-}
+func (a *Answer) Wire() any { return a.wire.Load() }
 
-// SetWire caches a transport encoding. The caller must not mutate b after
-// the call. Concurrent setters race benignly: every encoding of an
-// immutable Answer is identical, so either write may win.
-func (a *Answer) SetWire(b []byte) { a.wire.Store(b) }
+// SetWire caches a transport encoding. Every call must pass the same
+// concrete type, and the caller must not mutate w after the call.
+// Concurrent setters race benignly: every encoding of an immutable Answer
+// is identical, so either write may win.
+func (a *Answer) SetWire(w any) { a.wire.Store(w) }
 
 // presentation is the plan-derived half of an Answer — everything except
 // the execution result. It is a pure function of the planned statement and

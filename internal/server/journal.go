@@ -136,7 +136,7 @@ func (s *Server) replayGroup(ctx context.Context, group []persist.Record) (sess 
 			skipped++
 			continue
 		}
-		_, _, _, _ = s.publishTurn(nil, rec, ans)
+		s.publishTurn(nil, rec, ans)
 	}
 	return sess, skipped
 }

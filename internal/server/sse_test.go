@@ -12,6 +12,7 @@ import (
 
 	"fisql/internal/assistant"
 	"fisql/internal/llm"
+	"fisql/internal/obs"
 	"fisql/internal/persist"
 )
 
@@ -335,5 +336,49 @@ func TestSSEConcurrentStreamsRace(t *testing.T) {
 	}
 	for w := 0; w < 8; w++ {
 		<-done
+	}
+}
+
+// TestSSEStageEventParity asks every corpus example streamed twice, on two
+// sessions: first on the live pipeline, whose stages stream as they are
+// computed, then as a memo hit, whose stages come from the cached answer.
+// On both paths the streamed sql, explanation, result and done events must
+// be byte-identical to that turn's /events payloads, done under the same
+// sequence number, and each distinct answer must be rendered exactly once.
+func TestSSEStageEventParity(t *testing.T) {
+	f := factory(t)
+	m := obs.NewMetrics()
+	srv := New(map[string]SessionFactory{"aep": &memoFactory{testFactory: f,
+		memo: assistant.NewAnswerMemo(0)}}, WithMetrics(m))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	live, hit := newTestSession(t, ts), newTestSession(t, ts)
+	distinct := make(map[string]bool)
+	for _, e := range f.ds.Examples {
+		for _, path := range []struct{ name, sid string }{{"live", live}, {"memo-hit", hit}} {
+			context := e.ID + " " + path.name
+			streamed := askSSE(t, ts, path.sid, e.Question)
+			checkSequence(t, streamed, context)
+			published := topicEvents(t, srv, path.sid)
+			if len(published) < 4 {
+				t.Fatalf("%s: topic holds %d events", context, len(published))
+			}
+			turn := published[len(published)-4:]
+			for i, ev := range streamed[1:] {
+				if ev.name != turn[i].name || ev.data != turn[i].data {
+					t.Fatalf("%s: streamed %s event differs from /events %s\nsse:    %s\nevents: %s",
+						context, ev.name, turn[i].name, ev.data, turn[i].data)
+				}
+			}
+			if done := streamed[4]; done.id != turn[3].id {
+				t.Fatalf("%s: done id %q, /events done id %q", context, done.id, turn[3].id)
+			}
+			distinct[turn[0].data] = true
+		}
+	}
+	if got := m.Registry.Snapshot().Counters["fisql_render_cache_misses_total"]; got != int64(len(distinct)) {
+		t.Fatalf("fisql_render_cache_misses_total = %d, want %d (one per distinct answer)",
+			got, len(distinct))
 	}
 }
