@@ -1,7 +1,6 @@
 // Command fisql-loadgen drives the REST server with concurrent mixed
 // session traffic and reports throughput and latency percentiles, so
-// serving-path changes have a measured trajectory (see BENCH_serving.json
-// for the recorded baselines).
+// serving-path changes have a measured trajectory.
 //
 // Each of -sessions workers owns one server session and loops over a
 // weighted ask/feedback/history mix (-mix) until -duration elapses.
