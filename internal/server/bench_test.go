@@ -107,8 +107,8 @@ func BenchmarkServerAskUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkServerMixed drives the ask/feedback/history mix of the loadgen
-// through concurrent sessions — the serving-path macro-benchmark.
+// BenchmarkServerMixed drives a 5:3:2 ask/feedback/history mix through
+// concurrent sessions — the serving-path macro-benchmark.
 func BenchmarkServerMixed(b *testing.B) {
 	ts, questions := benchServer(b, true)
 	var ctr atomic.Int64
