@@ -51,9 +51,6 @@ func (s *Session) History() []Turn {
 	return s.HistorySince(0)
 }
 
-// HistoryLen reports the number of turns so far.
-func (s *Session) HistoryLen() int { return len(s.history) }
-
 // HistorySince returns a copy of the turns from index n on. History is
 // append-only, so callers that already consumed the first n turns (the
 // server's incremental history rendering) receive exactly the new suffix.

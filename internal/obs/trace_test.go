@@ -126,3 +126,11 @@ func TestStageStatsAndSummary(t *testing.T) {
 		t.Errorf("summary missing stage row:\n%s", sb.String())
 	}
 }
+
+// StageHistogram returns the histogram behind one stage (nil on nil m).
+func (m *Metrics) StageHistogram(s Stage) *Histogram {
+	if m == nil || s < 0 || s >= NumStages {
+		return nil
+	}
+	return m.stages[s]
+}

@@ -183,13 +183,6 @@ func (h *Hub) CloseTopic(session string) {
 	}
 }
 
-// Topics reports the number of open topics.
-func (h *Hub) Topics() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.topics)
-}
-
 // ---------------------------------------------------------------------------
 
 // topic is one session's event ring plus its subscribers. buf is a circular

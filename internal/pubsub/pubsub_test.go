@@ -365,3 +365,10 @@ func TestRingGrowsLazily(t *testing.T) {
 			len(evs), evs[0].Seq, evs[len(evs)-1].Seq)
 	}
 }
+
+// Topics reports the number of open topics.
+func (h *Hub) Topics() int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return len(h.topics)
+}

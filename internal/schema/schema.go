@@ -149,7 +149,7 @@ func (r Ref) String() string {
 // what a naive linker picks. Closed-domain traps are built by registering
 // the *wrong* resolution first.
 //
-// Registration (Add, AddFirst) must happen-before any concurrent use; once
+// Registration (Add) must happen-before any concurrent use; once
 // built, a Lexicon is read-only and safe for concurrent resolution.
 type Lexicon struct {
 	entries map[string][]Ref
@@ -239,13 +239,6 @@ func (lx *Lexicon) Add(phrase string, ref Ref) {
 	lx.entries[key] = append(lx.entries[key], ref)
 }
 
-// AddFirst registers a candidate ahead of existing ones, making it the naive
-// resolution. Closed-domain schemas use this to plant jargon traps.
-func (lx *Lexicon) AddFirst(phrase string, ref Ref) {
-	key := Normalize(phrase)
-	lx.entries[key] = append([]Ref{ref}, lx.entries[key]...)
-}
-
 // Resolve returns the naive (first) resolution for a phrase.
 func (lx *Lexicon) Resolve(phrase string) (Ref, bool) {
 	refs := lx.entries[Normalize(phrase)]
@@ -258,11 +251,6 @@ func (lx *Lexicon) Resolve(phrase string) (Ref, bool) {
 // Candidates returns all resolutions for a phrase, naive first.
 func (lx *Lexicon) Candidates(phrase string) []Ref {
 	return lx.entries[Normalize(phrase)]
-}
-
-// Ambiguous reports whether a phrase has multiple distinct resolutions.
-func (lx *Lexicon) Ambiguous(phrase string) bool {
-	return len(lx.entries[Normalize(phrase)]) > 1
 }
 
 // Phrases returns all registered phrases, sorted (for deterministic tests

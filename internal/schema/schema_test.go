@@ -173,3 +173,15 @@ func TestRefString(t *testing.T) {
 		t.Error("column ref string")
 	}
 }
+
+// AddFirst registers a candidate ahead of existing ones, making it the naive
+// resolution.
+func (lx *Lexicon) AddFirst(phrase string, ref Ref) {
+	key := Normalize(phrase)
+	lx.entries[key] = append([]Ref{ref}, lx.entries[key]...)
+}
+
+// Ambiguous reports whether a phrase has multiple distinct resolutions.
+func (lx *Lexicon) Ambiguous(phrase string) bool {
+	return len(lx.entries[Normalize(phrase)]) > 1
+}
