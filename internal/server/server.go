@@ -415,25 +415,6 @@ type createReq struct {
 	DB     string `json:"db"`
 }
 
-// decodeBody decodes a POST body into v under the configured size cap. A
-// body over the cap answers 413 (instead of letting a hostile client feed
-// the decoder without bound), malformed JSON answers 400; either way the
-// response has been written and the caller just returns.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-		} else {
-			httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
-		}
-		return false
-	}
-	return true
-}
-
 // commit is the one place a record is made durable: it appends rec to the
 // journal, if one is configured, then ships it to the session's follower,
 // if a replicator is configured. The caller holds the session's lock (or
@@ -614,7 +595,20 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.store.put(id, s.openSession(id, req.Corpus, req.DB))
-	writeJSON(w, map[string]any{"session_id": id, "db": req.DB})
+	writeJSON(w, createdReply{DB: req.DB, SessionID: id})
+}
+
+// createdReply and deletedReply are the create and delete replies. Their
+// fields are in sorted key order, so they encode as the maps they replaced
+// did.
+type createdReply struct {
+	DB        string `json:"db"`
+	SessionID string `json:"session_id"`
+}
+
+type deletedReply struct {
+	Deleted   bool   `json:"deleted"`
+	SessionID string `json:"session_id"`
 }
 
 // openSession builds a session of a known corpus and database and opens its
@@ -646,7 +640,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"session_id": sess.id, "deleted": true})
+	writeJSON(w, deletedReply{Deleted: true, SessionID: sess.id})
 }
 
 func (s *Server) session(r *http.Request) (*session, error) {
@@ -784,12 +778,12 @@ func (s *Server) serveTurn(w http.ResponseWriter, r *http.Request, lim *limiter,
 		httpError(w, code, err.Error())
 		return
 	}
-	body, _, _, err := s.commitTurn(tr, sess, rec, ans)
+	wire, _, _, err := s.commitTurn(tr, sess, rec, ans)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeBody(w, body)
+	writeBody(w, wire)
 }
 
 // apply runs one turn record through the session's pipeline — the only
@@ -840,23 +834,24 @@ func offsetMismatch(highlight string, offset int) error {
 // serve — and let a retry of the 500 double-apply — that turn. It leaves the
 // store first, so end ends it even though its delete fails too. A turn
 // whose replication failed is published like any committed turn, so the
-// event stream keeps following the history replay rebuilds. body, events
+// event stream keeps following the history replay rebuilds. wire, events
 // and seq are the rendered answer, the turn's published events and the done
 // event's sequence number.
-func (s *Server) commitTurn(tr *obs.Trace, sess *session, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64, err error) {
+func (s *Server) commitTurn(tr *obs.Trace, sess *session, rec persist.Record, ans *assistant.Answer) (wire *answerWire, events []pubsub.Payload, seq uint64, err error) {
 	cerr := s.commit(rec)
 	if cerr != nil && !isReplicationError(cerr) {
 		s.store.remove(sess.id)
 		_ = s.end(sess, deleteRecord(sess.id)) // cannot keep a dropped session
 		return nil, nil, 0, cerr
 	}
-	body, events, seq = s.publishTurn(tr, rec, ans)
-	return body, events, seq, cerr
+	wire = s.renderAnswer(tr, ans)
+	events, seq = s.publishAnswer(rec, wire)
+	return wire, events, seq, cerr
 }
 
-// publishTurn is commitTurn's second half, and all of it that replay runs: a
-// replayed record is already journaled. It renders the answer and publishes
-// the turn.
+// publishTurn is what commitTurn does after the commit, and all of it that
+// replay runs: a replayed record is already journaled. It renders the answer
+// and publishes the turn.
 func (s *Server) publishTurn(tr *obs.Trace, rec persist.Record, ans *assistant.Answer) (body []byte, events []pubsub.Payload, seq uint64) {
 	w := s.renderAnswer(tr, ans)
 	events, seq = s.publishAnswer(rec, w)
@@ -921,21 +916,29 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeBody sends a pre-rendered JSON body (renderAnswer's output): the
-// bytes cached on the Answer, so a request served by a memoized Answer writes
-// them without encoding anything.
-func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
+// jsonContentType is the Content-Type header value of a JSON body. Header
+// values set from it and from answerWire.length are shared: nothing writes
+// into a header's value slice, so they are set without allocating.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends a rendered answer: the body and Content-Length cached on
+// the Answer, so a request served by a memoized Answer writes them without
+// encoding or allocating anything.
+func writeBody(w http.ResponseWriter, a *answerWire) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = a.length
+	_, _ = w.Write(a.body)
 }
 
 // answerWire is an Answer's wire form, cached on the Answer (Answer.Wire):
-// its sql, explanation, result and done payloads in publishing order, and
-// body, the plain response (done plus a newline). done is a prefix of body.
+// its sql, explanation, result and done payloads in publishing order, body,
+// the plain response (done plus a newline), and length, body's
+// Content-Length header value. done is a prefix of body.
 type answerWire struct {
 	stages [4]pubsub.Payload
 	body   []byte
+	length []string
 }
 
 // renderAnswer returns ans's wire form, encoding it on first use. Each stage
@@ -968,7 +971,7 @@ func (s *Server) renderAnswer(tr *obs.Trace, ans *assistant.Answer) *answerWire 
 		body = append(append(body, ','), fields...)
 	}
 	body = append(body, '}', '\n')
-	w := &answerWire{body: body, stages: [4]pubsub.Payload{
+	w := &answerWire{body: body, length: []string{strconv.Itoa(len(body))}, stages: [4]pubsub.Payload{
 		{Type: "sql", Data: sql},
 		{Type: "explanation", Data: exp},
 		{Type: "result", Data: res},
