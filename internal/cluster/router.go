@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"fisql/internal/obs"
+	"fisql/internal/server"
 )
 
 // DefaultHealthTimeout bounds one health probe.
@@ -341,9 +343,9 @@ func (rt *Router) handleDatabases(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "read body: "+err.Error())
+		bodyError(w, err)
 		return
 	}
 	// The id is issued here, before any node is involved: ownership is a
@@ -357,14 +359,26 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleForwardByID(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
-		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes))
 		if err != nil {
-			httpError(w, http.StatusRequestEntityTooLarge, "read body: "+err.Error())
+			bodyError(w, err)
 			return
 		}
 		body = b
 	}
 	rt.forward(w, r, r.PathValue("id"), body, "")
+}
+
+// bodyError answers a client body the router could not read as a node
+// answers one it could not decode: 413 past the cap, 400 for any other read
+// error, such as a truncated body.
+func bodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
 }
 
 // forward sends the request to the node owning key, retrying through
