@@ -57,21 +57,27 @@ func weight(memberID, key string) uint64 {
 	return h
 }
 
+// ahead reports whether member id a, of rendezvous weight wa, ranks before
+// member id b, of weight wb: the higher weight first, and ties (astronomically
+// unlikely with 64-bit weights, but the order must still be total) toward the
+// smaller id.
+func ahead(wa uint64, a string, wb uint64, b string) bool {
+	if wa != wb {
+		return wa > wb
+	}
+	return a < b
+}
+
 // Owners returns up to n members ranked by descending rendezvous weight
-// for key: index 0 is the session's owner, index 1 its designated
-// follower. Ties (astronomically unlikely with 64-bit weights, but the
-// ordering must still be total) break toward the smaller member id.
+// for key (ahead): index 0 is the session's owner, index 1 its designated
+// follower.
 func Owners(key string, members []Member, n int) []Member {
 	if len(members) == 0 || n <= 0 {
 		return nil
 	}
 	ranked := append([]Member(nil), members...)
 	sort.Slice(ranked, func(a, b int) bool {
-		wa, wb := weight(ranked[a].ID, key), weight(ranked[b].ID, key)
-		if wa != wb {
-			return wa > wb
-		}
-		return ranked[a].ID < ranked[b].ID
+		return ahead(weight(ranked[a].ID, key), ranked[a].ID, weight(ranked[b].ID, key), ranked[b].ID)
 	})
 	if n < len(ranked) {
 		ranked = ranked[:n]
@@ -79,22 +85,41 @@ func Owners(key string, members []Member, n int) []Member {
 	return ranked
 }
 
+// top2 returns the indices in members of the first two of Owners(key,
+// members, 2), -1 where there is none, in one pass and without allocating:
+// placement runs on every forwarded request and every replicated record.
+func top2(key string, members []Member) (first, second int) {
+	first, second = -1, -1
+	var w1, w2 uint64
+	for i := range members {
+		w, id := weight(members[i].ID, key), members[i].ID
+		switch {
+		case first < 0 || ahead(w, id, w1, members[first].ID):
+			second, w2 = first, w1
+			first, w1 = i, w
+		case second < 0 || ahead(w, id, w2, members[second].ID):
+			second, w2 = i, w
+		}
+	}
+	return first, second
+}
+
 // Owner returns the member that owns key, false when members is empty.
 func Owner(key string, members []Member) (Member, bool) {
-	top := Owners(key, members, 1)
-	if len(top) == 0 {
+	first, _ := top2(key, members)
+	if first < 0 {
 		return Member{}, false
 	}
-	return top[0], true
+	return members[first], true
 }
 
 // Follower returns the designated follower for key — the member holding
 // the session's replicated journal — false when the cluster has fewer than
 // two members.
 func Follower(key string, members []Member) (Member, bool) {
-	top := Owners(key, members, 2)
-	if len(top) < 2 {
+	_, second := top2(key, members)
+	if second < 0 {
 		return Member{}, false
 	}
-	return top[1], true
+	return members[second], true
 }

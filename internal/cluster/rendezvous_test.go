@@ -135,3 +135,53 @@ func TestRendezvousDegenerateInputs(t *testing.T) {
 		t.Errorf("Owners(n=5) on 1 member: %v", got)
 	}
 }
+
+// TestOwnerFollowerMatchOwners: the one-pass Owner and Follower pick the
+// first two of Owners(key, m, 2) over random member sets, in any order.
+func TestOwnerFollowerMatchOwners(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		var members []Member
+		for i, id := range rng.Perm(1000)[:rng.Intn(9)] {
+			members = append(members, Member{ID: fmt.Sprintf("n%d", id), Addr: fmt.Sprintf("http://10.0.0.%d", i)})
+		}
+		key := fmt.Sprintf("s%d", rng.Intn(100000))
+		want := Owners(key, members, 2)
+		owner, okOwner := Owner(key, members)
+		follower, okFollower := Follower(key, members)
+		if okOwner != (len(want) > 0) || (okOwner && owner != want[0]) ||
+			okFollower != (len(want) > 1) || (okFollower && follower != want[1]) {
+			t.Fatalf("key %s, members %v: Owner %v %v, Follower %v %v; Owners %v",
+				key, members, owner, okOwner, follower, okFollower, want)
+		}
+		rng.Shuffle(len(members), func(a, b int) { members[a], members[b] = members[b], members[a] })
+		if o, _ := Owner(key, members); okOwner && o != owner {
+			t.Fatalf("key %s: owner %v after a shuffle, %v before", key, o, owner)
+		}
+		if f, _ := Follower(key, members); okFollower && f != follower {
+			t.Fatalf("key %s: follower %v after a shuffle, %v before", key, f, follower)
+		}
+	}
+}
+
+// TestAheadTiesBreakTowardSmallerID: with equal weights the order falls to
+// the member ids.
+func TestAheadTiesBreakTowardSmallerID(t *testing.T) {
+	for _, tc := range []struct {
+		wa   uint64
+		a    string
+		wb   uint64
+		b    string
+		want bool
+	}{
+		{2, "z", 1, "a", true},
+		{1, "a", 2, "z", false},
+		{5, "a", 5, "b", true},
+		{5, "b", 5, "a", false},
+		{5, "a", 5, "a", false},
+	} {
+		if got := ahead(tc.wa, tc.a, tc.wb, tc.b); got != tc.want {
+			t.Errorf("ahead(%d %q, %d %q) = %v, want %v", tc.wa, tc.a, tc.wb, tc.b, got, tc.want)
+		}
+	}
+}
