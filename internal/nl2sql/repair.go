@@ -83,9 +83,52 @@ type fbMatch struct {
 	lower, orig string
 }
 
+// pattern is a feedback regex with the literals every match of it
+// contains. Each entry of lits lists alternatives separated by '|', one of
+// which a match holds; text that lacks every alternative of some entry
+// cannot match, so the regex is not run on it.
+type pattern struct {
+	re   *regexp.Regexp
+	lits [][]string
+}
+
+func newPattern(expr string, lits ...string) *pattern {
+	p := &pattern{re: regexp.MustCompile(expr)}
+	for _, l := range lits {
+		p.lits = append(p.lits, strings.Split(l, "|"))
+	}
+	return p
+}
+
+// admits reports whether text holds one alternative of every literal
+// entry: false means the regex cannot match text.
+func (p *pattern) admits(text string) bool {
+	for _, alts := range p.lits {
+		found := false
+		for _, a := range alts {
+			if strings.Contains(text, a) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
 // groups runs the pattern against the lower-cased text and returns the
 // capture groups sliced from the original text; nil when it does not match.
-func (m *fbMatch) groups(re *regexp.Regexp) []string {
+func (m *fbMatch) groups(p *pattern) []string {
+	if !p.admits(m.lower) {
+		return nil
+	}
+	return m.submatches(p.re)
+}
+
+// submatches is groups without the literal gate.
+func (m *fbMatch) submatches(re *regexp.Regexp) []string {
 	idx := re.FindStringSubmatchIndex(m.lower)
 	if idx == nil {
 		return nil
@@ -101,16 +144,16 @@ func (m *fbMatch) groups(re *regexp.Regexp) []string {
 	return out
 }
 
-func (m *fbMatch) contains(re *regexp.Regexp) bool { return re.MatchString(m.lower) }
+func (m *fbMatch) contains(p *pattern) bool { return p.admits(m.lower) && p.re.MatchString(m.lower) }
 
 var (
-	reYear        = regexp.MustCompile(`(?:we are in|change the year to|the year should be)\s+(\d{4})`)
-	reInsteadOf   = regexp.MustCompile(`the ([a-z0-9_ ]+?) instead of the ([a-z0-9_ ]+)$`)
-	reWantedNot   = regexp.MustCompile(`i wanted the ([a-z]+), not the ([a-z]+)$`)
-	reMeantNot    = regexp.MustCompile(`i meant the ([a-z0-9_ ]+?), not the ([a-z0-9_ ]+)$`)
-	reShouldBeNot = regexp.MustCompile(`^the (.+?) should be (.+?), not (.+)$`)
-	reColShouldBe = regexp.MustCompile(`^the (.+?) should be (.+)$`)
-	reValShouldBe = regexp.MustCompile(`^the value should be (.+)$`)
+	reYear        = newPattern(`(?:we are in|change the year to|the year should be)\s+(\d{4})`, "we are in|change the year to|the year should be")
+	reInsteadOf   = newPattern(`the ([a-z0-9_ ]+?) instead of the ([a-z0-9_ ]+)$`, " instead of the ")
+	reWantedNot   = newPattern(`i wanted the ([a-z]+), not the ([a-z]+)$`, "i wanted the ", ", not the ")
+	reMeantNot    = newPattern(`i meant the ([a-z0-9_ ]+?), not the ([a-z0-9_ ]+)$`, "i meant the ", ", not the ")
+	reShouldBeNot = newPattern(`^the (.+?) should be (.+?), not (.+)$`, " should be ", ", not ")
+	reColShouldBe = newPattern(`^the (.+?) should be (.+)$`, " should be ")
+	reValShouldBe = newPattern(`^the value should be (.+)$`, "the value should be ")
 )
 
 func (r *Repairer) applyEdit(sel *sqlast.SelectStmt, text *fbMatch, hl *feedback.Highlight) bool {
@@ -432,13 +475,13 @@ func setSomeComparisonValue(sel *sqlast.SelectStmt, v value, hl *feedback.Highli
 // Add
 
 var (
-	reSortBy    = regexp.MustCompile(`(?:sort|order)(?: the results)? by (.+?) in (ascending|descending) order`)
-	reOrderThe  = regexp.MustCompile(`order the (.+?) in (ascending|descending) order`)
-	reOnlyEq    = regexp.MustCompile(`only (?:include|count|keep) those whose (.+?) is (.+)$`)
-	reOnlyGt    = regexp.MustCompile(`only (?:include|count|keep) those with (.+?) greater than (.+)$`)
-	reDistinct  = regexp.MustCompile(`duplicate|distinct|only once`)
-	reAlsoShow  = regexp.MustCompile(`also (?:show|give|include) the (.+)$`)
-	reLimitTopN = regexp.MustCompile(`only (?:show|give) the (?:top|first) (\d+)`)
+	reSortBy    = newPattern(`(?:sort|order)(?: the results)? by (.+?) in (ascending|descending) order`, " by ", "scending order")
+	reOrderThe  = newPattern(`order the (.+?) in (ascending|descending) order`, "order the ", "scending order")
+	reOnlyEq    = newPattern(`only (?:include|count|keep) those whose (.+?) is (.+)$`, " those whose ", " is ")
+	reOnlyGt    = newPattern(`only (?:include|count|keep) those with (.+?) greater than (.+)$`, " those with ", " greater than ")
+	reDistinct  = newPattern(`duplicate|distinct|only once`, "duplicate|distinct|only once")
+	reAlsoShow  = newPattern(`also (?:show|give|include) the (.+)$`, "also show the |also give the |also include the ")
+	reLimitTopN = newPattern(`only (?:show|give) the (?:top|first) (\d+)`, "only show the |only give the ", "top |first ")
 )
 
 func (r *Repairer) applyAdd(sel *sqlast.SelectStmt, text *fbMatch) bool {
@@ -508,8 +551,8 @@ func (r *Repairer) addFilter(sel *sqlast.SelectStmt, phrase string, v value, op 
 // Remove
 
 var (
-	reDoNotGive = regexp.MustCompile(`(?:do not|don't) (?:give|show|need|include)(?: the)? (.+)$`)
-	reDropCond  = regexp.MustCompile(`(?:drop|remove) the (?:condition|filter) on (.+)$`)
+	reDoNotGive = newPattern(`(?:do not|don't) (?:give|show|need|include)(?: the)? (.+)$`, "do not |don't ")
+	reDropCond  = newPattern(`(?:drop|remove) the (?:condition|filter) on (.+)$`, "drop the |remove the ", "the condition on |the filter on ")
 )
 
 func (r *Repairer) applyRemove(sel *sqlast.SelectStmt, text *fbMatch) bool {

@@ -2,9 +2,9 @@
 // the Assistant: a TF-IDF vector index over the demonstration pool with
 // cosine-similarity top-k search, filtered per database.
 //
-// Search is an exact scan: it scores every demonstration in the requested
-// database partition (or the whole pool) and keeps the top k, breaking
-// score ties by pool order.
+// Search is exact: it scores every demonstration in the requested database
+// partition (or the whole pool) through an inverted index and keeps the
+// top k, breaking score ties by pool order.
 //
 // Unlike the seed store, a Store is mutable: Add folds new demonstrations —
 // the serving path's successful feedback corrections — into the pool at any
@@ -25,12 +25,25 @@ import (
 	"fisql/internal/dataset"
 )
 
-// posting is one (term, weight) entry of a normalized TF-IDF vector.
-// Vectors are stored as term-sorted posting lists so cosine similarity is a
-// linear merge-join instead of map probes over re-sorted keys per Search.
+// posting is one (term, weight) entry of a normalized TF-IDF vector,
+// sorted by term within its vector.
 type posting struct {
 	term string
 	w    float64
+}
+
+// entry is one demo's weight for a term, at its position in a partition.
+type entry struct {
+	pos int32
+	w   float64
+}
+
+// partition indexes the demos of one database. ids lists their pool ids in
+// pool order, and a demo's position is its index in ids. postings maps each
+// term to the entries of the demos that contain it, in position order.
+type partition struct {
+	ids      []int32
+	postings map[string][]entry
 }
 
 // demoKey identifies a demonstration for insert deduplication.
@@ -51,17 +64,14 @@ type demoKey struct {
 type Store struct {
 	mu    sync.RWMutex
 	demos []dataset.Demo
-	vecs  [][]posting
 	idf   map[string]float64
 	// baseN is the pool size the IDF table was derived from; it also fixes
 	// the unseen-term weight so query vectorization is independent of later
 	// inserts.
 	baseN int
 	seen  map[demoKey]struct{}
-	// all lists every demo id in pool order; byDB the same per database.
-	// Search scans one of them.
-	all  []int32
-	byDB map[string][]int32
+	// parts holds one inverted index per database.
+	parts map[string]*partition
 
 	searches atomic.Int64
 	hits     atomic.Int64
@@ -69,7 +79,7 @@ type Store struct {
 	dups     atomic.Int64
 	// searchObs, when set, observes every Search's wall time (the serving
 	// path's fisql_rag_search_seconds histogram).
-	searchObs atomic.Value // func(time.Duration)
+	searchObs atomic.Pointer[func(time.Duration)]
 }
 
 // Tokenize splits text into lowercase alphanumeric terms.
@@ -145,7 +155,7 @@ func newStore(demos []dataset.Demo, workers int) *Store {
 		idf:   make(map[string]float64),
 		baseN: len(demos),
 		seen:  make(map[demoKey]struct{}, len(demos)),
-		byDB:  make(map[string][]int32),
+		parts: make(map[string]*partition),
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -191,25 +201,33 @@ func newStore(demos []dataset.Demo, workers int) *Store {
 
 	// Pass 2: build every vector. Slots are disjoint and each vector depends
 	// only on its own token list plus the (now frozen) IDF table.
-	s.vecs = make([][]posting, len(demos))
+	vecs := make([][]posting, len(demos))
 	runChunks(len(demos), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s.vecs[i] = s.vector(tokenLists[i])
+			vecs[i] = s.vector(tokenLists[i])
 		}
 	})
 
 	// Pass 3: fill the partitions and the dedup set in pool order.
 	for i, d := range demos {
 		s.seen[demoKey{d.DB, d.Question, d.SQL}] = struct{}{}
-		s.insert(i, d.DB)
+		s.insert(i, d.DB, vecs[i])
 	}
 	return s
 }
 
-// insert appends demo id to the whole-pool and per-database scan lists.
-func (s *Store) insert(id int, db string) {
-	s.all = append(s.all, int32(id))
-	s.byDB[db] = append(s.byDB[db], int32(id))
+// insert appends demo id, whose vector is vec, to its database's partition.
+func (s *Store) insert(id int, db string, vec []posting) {
+	p := s.parts[db]
+	if p == nil {
+		p = &partition{postings: make(map[string][]entry)}
+		s.parts[db] = p
+	}
+	pos := int32(len(p.ids))
+	p.ids = append(p.ids, int32(id))
+	for _, e := range vec {
+		p.postings[e.term] = append(p.postings[e.term], entry{pos: pos, w: e.w})
+	}
 }
 
 // runChunks splits [0, n) into one contiguous chunk per worker and runs fn
@@ -282,41 +300,21 @@ func (s *Store) vectorInto(vec []posting, toks []string) []posting {
 	return vec
 }
 
-// cosine merge-joins two term-sorted posting lists. Shared terms are visited
-// in sorted term order — the same accumulation order the map-based
-// implementation used, and TF-IDF weights are non-negative with absent terms
-// contributing exactly +0.0 — so scores are bit-identical to it.
-func cosine(a, b []posting) float64 {
-	var dot float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].term == b[j].term:
-			dot += a[i].w * b[j].w
-			i++
-			j++
-		case a[i].term < b[j].term:
-			i++
-		default:
-			j++
-		}
-	}
-	return dot
-}
-
 // Result is one retrieval hit.
 type Result struct {
 	Demo  dataset.Demo
 	Score float64
 }
 
-// queryScratch holds the per-Search temporaries — token list and query
-// posting vector — so the serving path's hottest retrieval allocations are
-// recycled across requests. The scratch never escapes: hits are built
-// fresh, and qv is returned to the pool before Search returns.
+// queryScratch holds the per-Search temporaries — token list, query
+// posting vector and score accumulators — so the serving path's hottest
+// retrieval allocations are recycled across requests. The scratch never
+// escapes: hits are built fresh, and qv is returned to the pool before
+// Search returns. Every acc slot is zero whenever the scratch is pooled.
 type queryScratch struct {
 	toks []string
 	qv   []posting
+	acc  []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -333,11 +331,20 @@ func (sc *queryScratch) release() {
 // Search returns the top-k demonstrations for the query, restricted to the
 // given database (empty db means no restriction). Ties break by pool order
 // for determinism. k <= 0 returns nil.
+//
+// Each demo's score is its cosine with the query: the sum of the products
+// of their shared terms' weights, added from +0 in sorted term order. The
+// query's postings are term-sorted, so walking them in order and adding
+// each product into the demo's accumulator performs exactly the additions
+// of a merge-join of the two vectors, and the scores are bit-identical.
 func (s *Store) Search(query, db string, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	obsFn, _ := s.searchObs.Load().(func(time.Duration))
+	var obsFn func(time.Duration)
+	if p := s.searchObs.Load(); p != nil {
+		obsFn = *p
+	}
 	var t0 time.Time
 	if obsFn != nil {
 		t0 = time.Now()
@@ -349,9 +356,26 @@ func (s *Store) Search(query, db string, k int) []Result {
 	s.mu.RLock()
 	qv := s.vectorInto(sc.qv[:0], sc.toks)
 	sc.qv = qv
-	cands := s.all
+	// acc is indexed by position in the database's partition, or by pool
+	// id when the search spans every partition.
+	var part *partition
+	n := len(s.demos)
 	if db != "" {
-		cands = s.byDB[db]
+		part, n = s.parts[db], 0
+		if part != nil {
+			n = len(part.ids)
+		}
+	}
+	if cap(sc.acc) < n {
+		sc.acc = make([]float64, n)
+	}
+	acc := sc.acc[:n]
+	if part != nil {
+		part.score(acc, qv, nil)
+	} else if db == "" {
+		for _, p := range s.parts {
+			p.score(acc, qv, p.ids)
+		}
 	}
 	// Bounded top-k selection: keep at most k hits, ordered by descending
 	// score with pool order breaking ties. Inserting each new hit after all
@@ -359,21 +383,26 @@ func (s *Store) Search(query, db string, k int) []Result {
 	// descending sort of all hits followed by truncation would keep, without
 	// materializing or sorting the full hit list.
 	hits := make([]Result, 0, k+1)
-	for _, id := range cands {
-		scr := cosine(qv, s.vecs[id])
+	for pos := range acc {
+		scr := acc[pos]
+		acc[pos] = 0
 		if scr <= 0 {
 			continue
 		}
 		if len(hits) == k && hits[k-1].Score >= scr {
 			continue
 		}
-		pos := len(hits)
-		for pos > 0 && hits[pos-1].Score < scr {
-			pos--
+		id := pos
+		if part != nil {
+			id = int(part.ids[pos])
+		}
+		i := len(hits)
+		for i > 0 && hits[i-1].Score < scr {
+			i--
 		}
 		hits = append(hits, Result{})
-		copy(hits[pos+1:], hits[pos:])
-		hits[pos] = Result{Demo: s.demos[id], Score: scr}
+		copy(hits[i+1:], hits[i:])
+		hits[i] = Result{Demo: s.demos[id], Score: scr}
 		if len(hits) > k {
 			hits = hits[:k]
 		}
@@ -388,6 +417,25 @@ func (s *Store) Search(query, db string, k int) []Result {
 		obsFn(time.Since(t0))
 	}
 	return hits
+}
+
+// score adds each product of a query weight and a demo weight into the
+// demo's accumulator: acc[pos], or acc[ids[pos]] when ids is not nil. Each
+// demo lies in one partition, so it receives its products in the query's
+// sorted term order.
+func (p *partition) score(acc []float64, qv []posting, ids []int32) {
+	for _, q := range qv {
+		es := p.postings[q.term]
+		if ids == nil {
+			for _, e := range es {
+				acc[e.pos] += q.w * e.w
+			}
+		} else {
+			for _, e := range es {
+				acc[ids[e.pos]] += q.w * e.w
+			}
+		}
+	}
 }
 
 // Add folds one demonstration into the pool, immediately visible to
@@ -406,8 +454,7 @@ func (s *Store) Add(d dataset.Demo) bool {
 	s.seen[key] = struct{}{}
 	id := len(s.demos)
 	s.demos = append(s.demos, d)
-	s.vecs = append(s.vecs, s.vector(Tokenize(d.Question)))
-	s.insert(id, d.DB)
+	s.insert(id, d.DB, s.vector(Tokenize(d.Question)))
 	s.mu.Unlock()
 	s.inserts.Add(1)
 	return true
@@ -424,10 +471,10 @@ func (s *Store) Len() int {
 // disables). Used by the serving path's retrieval latency histogram.
 func (s *Store) SetSearchObserver(fn func(time.Duration)) {
 	if fn == nil {
-		s.searchObs = atomic.Value{}
+		s.searchObs.Store(nil)
 		return
 	}
-	s.searchObs.Store(fn)
+	s.searchObs.Store(&fn)
 }
 
 // Stats is a point-in-time snapshot of the store's always-on counters.
