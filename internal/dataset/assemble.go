@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"fisql/internal/engine"
@@ -220,8 +221,9 @@ func (a *Assembler) Assemble(candidates []*Candidate, q Quotas) error {
 	// trap that must remain uncovered, or retrieval would silently fix it.
 	uncovered := a.uncoveredPhrases()
 	for _, d := range demos {
+		norm := schema.Normalize(d.Question)
 		for _, p := range uncovered {
-			if ContainsPhrase(d.Question, p) {
+			if strings.Contains(norm, p) {
 				return fmt.Errorf("covering demo %q leaks uncovered trap phrase %q", d.Question, p)
 			}
 		}
@@ -232,29 +234,33 @@ func (a *Assembler) Assemble(candidates []*Candidate, q Quotas) error {
 		if len(e.Traps) > 0 || perDB[e.DB] >= q.GenericDemosPerDB {
 			continue
 		}
-		conflict := false
-		for _, p := range uncovered {
-			if ContainsPhrase(e.Question, p) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
+		norm := schema.Normalize(e.Question)
+		if slices.ContainsFunc(uncovered, func(p string) bool { return strings.Contains(norm, p) }) {
 			continue
 		}
 		demos = append(demos, Demo{DB: e.DB, Question: e.Question, SQL: e.Gold})
 		perDB[e.DB]++
 	}
 	a.DS.Demos = demos
+	// Verification ran on the serving engine; its counts are not the
+	// product's, so the returned databases start from zero.
+	for _, g := range a.Gens {
+		g.DB.ResetStats()
+	}
 	return nil
 }
 
+// uncoveredPhrases returns the normalized phrase of every trap that must
+// stay uncovered. A normalized question contains one exactly when
+// ContainsPhrase holds, so each side is normalized once: an empty phrase
+// never matches and is left out, while a phrase that normalizes to "" stays
+// in and matches everything.
 func (a *Assembler) uncoveredPhrases() []string {
 	var out []string
 	for _, e := range a.DS.Examples {
 		for _, t := range e.Traps {
-			if !t.DemoCovered {
-				out = append(out, t.Phrase)
+			if !t.DemoCovered && t.Phrase != "" {
+				out = append(out, schema.Normalize(t.Phrase))
 			}
 		}
 	}
@@ -394,6 +400,9 @@ func (a *Assembler) decoyFor(g *Gen, e *Example, t *Trap) bool {
 	if st == nil {
 		return false
 	}
+	// Realize already ran this gold. Should its reparse fail anyway, every
+	// column is rejected but still sampled, so the Rng stream is unchanged.
+	gold, goldErr := g.run(sel)
 	for _, col := range st.Columns {
 		if strings.EqualFold(col.Name, t.Column) || strings.EqualFold(col.Name, t.Old) || strings.EqualFold(col.Name, t.New) {
 			continue
@@ -416,7 +425,7 @@ func (a *Assembler) decoyFor(g *Gen, e *Example, t *Trap) bool {
 		} else {
 			withDecoy.Where = &sqlast.Binary{Op: sqlast.OpAnd, L: withDecoy.Where, R: cond}
 		}
-		if !g.execDiffers(sel, withDecoy) {
+		if goldErr != nil || !g.differs(gold, withDecoy) {
 			continue
 		}
 		t.DecoyColumn = col.Name

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"fisql/internal/schema"
@@ -181,5 +183,26 @@ func TestAssembleFailsWhenTooFewCandidates(t *testing.T) {
 	asm := &Assembler{DS: ds, Gens: map[string]*Gen{g.Schema.Name: g}, Rng: newRng()}
 	if err := asm.Assemble(candidates, Quotas{Total: 10}); err == nil {
 		t.Fatal("too few candidates must error")
+	}
+}
+
+// TestUncoveredPhrasesMatchContainsPhrase pins the once-normalized phrase
+// check of Assemble's conflict passes to ContainsPhrase, including both
+// empty cases: a raw empty phrase never matches, and a blank one (which
+// normalizes to "") matches every question.
+func TestUncoveredPhrasesMatchContainsPhrase(t *testing.T) {
+	phrases := []string{"", "   ", "Song Name", "song  name", "how many", "É", "x\ty"}
+	questions := []string{"", " ", "List the SONG   name", "How many singers?", "é or É", "x y", "nothing"}
+	for _, p := range phrases {
+		ds := New("phrases")
+		ds.AddExample(&Example{Question: "q", Traps: []Trap{{Phrase: p}, {Phrase: "covered", DemoCovered: true}}})
+		uncovered := (&Assembler{DS: ds}).uncoveredPhrases()
+		for _, q := range questions {
+			norm := schema.Normalize(q)
+			got := slices.ContainsFunc(uncovered, func(u string) bool { return strings.Contains(norm, u) })
+			if want := ContainsPhrase(q, p); got != want {
+				t.Errorf("phrase %q, question %q: once-normalized check %t, ContainsPhrase %t", p, q, got, want)
+			}
+		}
 	}
 }

@@ -215,24 +215,17 @@ type Candidate struct {
 	Hint       Hint
 }
 
-// execDiffers reports whether the two queries both run and produce different
-// results — the soundness condition for a planted trap.
-func (g *Gen) execDiffers(gold, wrong *sqlast.SelectStmt) bool {
-	rg, err := g.Ex.Select(gold)
-	if err != nil {
-		return false
-	}
-	rw, err := g.Ex.Select(wrong)
-	if err != nil {
-		return false
-	}
-	return !engine.EqualResults(rg, rw)
+// run executes sel on the planned path the product serves from, so a trap
+// is verified by the same engine that will execute it.
+func (g *Gen) run(sel *sqlast.SelectStmt) (*engine.Result, error) {
+	return g.Ex.Run(engine.PlanSelect(g.DB, sel))
 }
 
-// execOK reports whether the query runs at all.
-func (g *Gen) execOK(sel *sqlast.SelectStmt) bool {
-	_, err := g.Ex.Select(sel)
-	return err == nil
+// differs reports whether wrong runs and its result differs from gold's —
+// the soundness condition for a planted trap.
+func (g *Gen) differs(gold *engine.Result, wrong *sqlast.SelectStmt) bool {
+	rw, err := g.run(wrong)
+	return err == nil && !engine.EqualResults(gold, rw)
 }
 
 // Realize turns a candidate plus a chosen set of perturbations into an
@@ -240,7 +233,8 @@ func (g *Gen) execOK(sel *sqlast.SelectStmt) bool {
 // nil if verification fails (the caller then tries other perturbations or
 // leaves the candidate untrapped).
 func (g *Gen) Realize(c *Candidate, chosen []Perturb) *Example {
-	if !g.execOK(c.Gold) {
+	gold, err := g.run(c.Gold)
+	if err != nil {
 		return nil
 	}
 	e := &Example{
@@ -261,7 +255,7 @@ func (g *Gen) Realize(c *Candidate, chosen []Perturb) *Example {
 					p.Apply(wrong)
 				}
 			}
-			if !g.execDiffers(c.Gold, wrong) {
+			if !g.differs(gold, wrong) {
 				return nil
 			}
 			e.Variants[mask] = sqlast.Print(wrong)

@@ -45,8 +45,8 @@ func checkCandidate(t *testing.T, g *Gen, c *Candidate, name string) {
 	if c == nil {
 		t.Fatalf("%s: candidate not built", name)
 	}
-	if !g.execOK(c.Gold) {
-		t.Fatalf("%s: gold does not execute", name)
+	if _, err := g.run(c.Gold); err != nil {
+		t.Fatalf("%s: gold does not execute: %v", name, err)
 	}
 	for _, p := range c.Perturbs {
 		if !ContainsPhrase(c.Paraphrase, p.Trap.Phrase) {

@@ -83,6 +83,21 @@ func (db *Database) ColumnarStats() (hits, fallbacks int64) {
 	return db.colHits.Load(), db.colFallbacks.Load()
 }
 
+// ResetStats zeroes the database's columnar, subquery and ORDER BY tallies
+// (ColumnarStats, SubqueryStats, OrderStats). Corpus construction calls it
+// once its own verification queries are done, so the counters a served
+// database reports start from the product's first query.
+func (db *Database) ResetStats() {
+	db.colHits.Store(0)
+	db.colFallbacks.Store(0)
+	db.subClosedExecs.Store(0)
+	db.subMemoHits.Store(0)
+	db.subOpenExecs.Store(0)
+	db.orderTyped.Store(0)
+	db.orderGeneric.Store(0)
+	db.orderRows.Store(0)
+}
+
 type scanKey struct {
 	t     *Table
 	alias string
