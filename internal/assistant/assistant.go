@@ -19,7 +19,6 @@ import (
 	"fisql/internal/prompt"
 	"fisql/internal/rag"
 	"fisql/internal/sqlast"
-	"fisql/internal/sqlparse"
 )
 
 // Assistant wires the NL2SQL model, the retrieval store and the execution
@@ -35,7 +34,8 @@ type Assistant struct {
 	K int
 	// Cache, when set, serves parsed+planned queries so repeated Answer
 	// calls on the same SQL (feedback rounds, concurrent sessions) skip the
-	// parse and planning passes. Nil falls back to uncached interpretation.
+	// parse and planning passes. Nil prepares a fresh plan per call; either
+	// way the SQL runs on the planned engine, so the Answer is the same.
 	Cache *engine.Cache
 	// Memo, when set, serves whole Answers for repeated Ask calls on the
 	// same (db, question) across sessions, collapsing concurrent identical
@@ -174,66 +174,41 @@ func (a *Assistant) answer(ctx context.Context, db, sql string) *Answer {
 	stream := StreamFrom(ctx)
 	ans := &Answer{SQL: sql}
 	dbase := a.DS.DBs[db]
-	var sel *sqlast.SelectStmt
-	var plan *engine.Plan
 	sp := tr.Start(obs.StagePlan)
+	var plan *engine.Plan
+	var err error
 	if a.Cache != nil {
-		p, err := a.Cache.Plan(dbase, sql)
-		if err != nil {
-			sp.End()
-			ans.ExecErr = err
-			if stream != nil {
-				stream.OnResult(nil, err)
-			}
-			return ans
-		}
-		plan, sel = p, p.Stmt
+		plan, err = a.Cache.Plan(dbase, sql)
 	} else {
-		s, err := sqlparse.ParseSelect(sql)
-		if err != nil {
-			sp.End()
-			ans.ExecErr = err
-			if stream != nil {
-				stream.OnResult(nil, err)
-			}
-			return ans
-		}
-		sel = s
+		plan, err = engine.Prepare(dbase, sql)
 	}
 	sp.End()
-	sp = tr.Start(obs.StageRender)
-	if plan != nil {
-		// The presentation depends only on the planned statement and its
-		// SQL text — both fixed per plan-cache entry — so compute it once
-		// per plan. Feedback rounds converging on the same corrected SQL
-		// skip the reformulate/explain/re-print passes entirely.
-		pres, ok := plan.Aux.Load().(*presentation)
-		if !ok {
-			pres = buildPresentation(sel, sql)
-			plan.Aux.Store(pres)
+	if err != nil {
+		ans.ExecErr = err
+		if stream != nil {
+			stream.OnResult(nil, err)
 		}
-		ans.Reformulation = pres.reformulation
-		ans.Explanation = pres.explanation
-		ans.Spans = pres.spans
-	} else {
-		pres := buildPresentation(sel, sql)
-		ans.Reformulation = pres.reformulation
-		ans.Explanation = pres.explanation
-		ans.Spans = pres.spans
+		return ans
 	}
+	sp = tr.Start(obs.StageRender)
+	// The presentation depends only on the planned statement and its SQL
+	// text — both fixed per plan-cache entry — so compute it once per plan.
+	// Feedback rounds converging on the same corrected SQL skip the
+	// reformulate/explain/re-print passes entirely.
+	pres, ok := plan.Aux.Load().(*presentation)
+	if !ok {
+		pres = buildPresentation(plan.Stmt, sql)
+		plan.Aux.Store(pres)
+	}
+	ans.Reformulation = pres.reformulation
+	ans.Explanation = pres.explanation
+	ans.Spans = pres.spans
 	sp.End()
 	if stream != nil {
 		stream.OnExplanation(ans.Reformulation, ans.Explanation, ans.Spans)
 	}
-	ex := engine.NewExecutor(dbase)
-	var res *engine.Result
-	var err error
 	sp = tr.Start(obs.StageExecute)
-	if plan != nil {
-		res, err = ex.Run(plan)
-	} else {
-		res, err = ex.Select(sel)
-	}
+	res, err := engine.NewExecutor(dbase).Run(plan)
 	sp.End()
 	if err != nil {
 		ans.ExecErr = err

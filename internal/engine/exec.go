@@ -92,7 +92,9 @@ func (ex *Executor) Run(p *Plan) (*Result, error) {
 // Select executes a parsed SELECT without a planning pass: every column
 // reference resolves through the dynamic per-row lookup. This is the
 // reference interpreter the differential tests compare planned execution
-// against; production paths should prefer Query/Run.
+// against, and nothing else: no non-test code outside this package calls
+// it (TestOracleIsTestOnly in the module root checks), so production runs
+// Query/Run.
 func (ex *Executor) Select(sel *sqlast.SelectStmt) (*Result, error) {
 	return ex.execSelect(sel, nil)
 }

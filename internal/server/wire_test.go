@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -85,10 +86,10 @@ func wantWire(t *testing.T, ans *assistant.Answer) (body, sql, exp, res []byte) 
 }
 
 // corpusAnswers answers the gold SQL and every trap variant of each example
-// of ds.
-func corpusAnswers(t *testing.T, ds *dataset.Dataset) map[string]*assistant.Answer {
+// of ds, through an assistant with the given plan cache (nil for none).
+func corpusAnswers(t *testing.T, ds *dataset.Dataset, cache *engine.Cache) map[string]*assistant.Answer {
 	t.Helper()
-	asst := &assistant.Assistant{DS: ds, Cache: engine.NewCache(0)}
+	asst := &assistant.Assistant{DS: ds, Cache: cache}
 	out := make(map[string]*assistant.Answer)
 	for _, e := range ds.Examples {
 		if _, ok := e.SQLFor(0); !ok {
@@ -104,6 +105,53 @@ func corpusAnswers(t *testing.T, ds *dataset.Dataset) map[string]*assistant.Answ
 	return out
 }
 
+// TestCachelessAnswersMatchCached checks that an assistant without a plan
+// cache answers every gold and variant SQL of both corpora — plus SQL that
+// fails to parse, plan or run — exactly as a cached one does, error text
+// included.
+func TestCachelessAnswersMatchCached(t *testing.T) {
+	for _, build := range []func() (*dataset.Dataset, error){aep.Build, spider.Build} {
+		ds, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := corpusAnswers(t, ds, engine.NewCache(0))
+		cacheless := corpusAnswers(t, ds, nil)
+		db := ds.Examples[0].DB
+		for i, sql := range []string{
+			"SELEC 1",                  // parse error
+			"SELECT nope FROM nowhere", // unknown table
+			"SELECT nope FROM " + db,   // the database's name is no table
+			"SELECT 1 WHERE 1 = (SELECT 1 UNION SELECT 2)", // scalar subquery with two rows
+		} {
+			name := fmt.Sprintf("%s/bad/%d", ds.Name, i)
+			cached[name] = (&assistant.Assistant{DS: ds, Cache: engine.NewCache(0)}).Answer(context.Background(), db, sql)
+			cacheless[name] = (&assistant.Assistant{DS: ds}).Answer(context.Background(), db, sql)
+			if cached[name].ExecErr == nil {
+				t.Fatalf("%s: %q answered without an error", name, sql)
+			}
+		}
+		if len(cacheless) != len(cached) {
+			t.Fatalf("%s: %d cache-less answers, %d cached", ds.Name, len(cacheless), len(cached))
+		}
+		for name, want := range cached {
+			got := cacheless[name]
+			if (got.ExecErr == nil) != (want.ExecErr == nil) ||
+				got.ExecErr != nil && got.ExecErr.Error() != want.ExecErr.Error() {
+				t.Fatalf("%s: cache-less error %v, cached %v", name, got.ExecErr, want.ExecErr)
+			}
+			if !reflect.DeepEqual(got.Result, want.Result) {
+				t.Fatalf("%s: cache-less result differs from cached", name)
+			}
+			gotBody, _, gotExp, _ := wantWire(t, got)
+			wantBody, _, wantExp, _ := wantWire(t, want)
+			if !bytes.Equal(gotBody, wantBody) || !bytes.Equal(gotExp, wantExp) {
+				t.Fatalf("%s: cache-less answer\n %s\ncached\n %s", name, gotBody, wantBody)
+			}
+		}
+	}
+}
+
 // TestAnswerWireFormat pins the answer's wire forms: the body is the
 // seven-field answer object as json.Encoder writes it, each stage payload is
 // json.Marshal of its event struct, and done is the body without its
@@ -117,7 +165,7 @@ func TestAnswerWireFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, ans := range corpusAnswers(t, ds) {
+		for name, ans := range corpusAnswers(t, ds, engine.NewCache(0)) {
 			answers[name] = ans
 		}
 	}
