@@ -5,10 +5,10 @@ import "math"
 // This file implements the columnar half of the engine's storage: a typed,
 // column-major projection of a Table, built lazily once per table and cached
 // on the Database. The row-major [][]Value layout stays the source of truth
-// — output rows are always gathered from Table.Rows, never reconstructed
-// from the arrays — so the columnar form is purely an acceleration
-// structure for the vectorized kernels in vec.go: filter masks and
-// aggregate folds stride over packed float64/string arrays instead of
+// — output values and ORDER BY keys are always copied from Table.Rows, never
+// reconstructed from the arrays — so the columnar form is purely an
+// acceleration structure for the vectorized kernels in vec.go: filter masks
+// and aggregate folds stride over packed float64/string arrays instead of
 // 32-byte Value structs scattered across row slices.
 
 // colKind classifies the non-NULL values observed in one column. Kernels
@@ -72,13 +72,16 @@ type colTable struct {
 	// staleness signal (same contract as Database.scanEnvs).
 	n    int
 	cols []colData
+	// names are the table's column names, shared by every vecPlan over it.
+	names []string
 }
 
 // buildColTable projects t into typed column arrays.
 func buildColTable(t *Table) *colTable {
 	n := len(t.Rows)
-	ct := &colTable{t: t, n: n, cols: make([]colData, len(t.Columns))}
-	for ci := range t.Columns {
+	ct := &colTable{t: t, n: n, cols: make([]colData, len(t.Columns)), names: make([]string, len(t.Columns))}
+	for ci, col := range t.Columns {
+		ct.names[ci] = col.Name
 		c := &ct.cols[ci]
 		// Pass 1: classify the column's non-NULL domain.
 		kind := kindEmpty

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"fisql/internal/sqlast"
@@ -78,15 +79,23 @@ func (ex *Executor) Run(p *Plan) (*Result, error) {
 		ex.plan = prev
 		ex.endRun()
 	}()
+	return ex.runSelect(p.Stmt, &p.vec)
+}
+
+// runSelect runs sel, the plan's statement or one of its closed subqueries,
+// with no outer scope: on its vectorized stages when the cached
+// qualification allows, and on the row executor otherwise. Each attempt
+// counts in ColumnarStats.
+func (ex *Executor) runSelect(sel *sqlast.SelectStmt, cache *atomic.Pointer[vecPlan]) (*Result, error) {
 	if !ex.noColumnar {
-		if c, cols, ok := ex.runVec(p); ok {
+		if c, cols, ok := ex.runVec(ex.plan, sel, cache); ok {
 			// A hit even if the tail errors: that error is the row path's.
 			ex.db.colHits.Add(1)
-			return ex.finish(p.Stmt, cols, &c, nil)
+			return ex.finish(sel, cols, &c, nil)
 		}
 		ex.db.colFallbacks.Add(1)
 	}
-	return ex.execSelect(p.Stmt, nil)
+	return ex.execSelect(sel, nil)
 }
 
 // Select executes a parsed SELECT without a planning pass: every column
@@ -1541,8 +1550,18 @@ func (ex *Executor) gather(sel *sqlast.SelectStmt, outer *rowEnv) (candidates, [
 // project runs HAVING, the select list and DISTINCT over the candidates.
 // With wantSrc it also returns, for each output row, the candidate it was
 // projected from. The rows are carved, capacity-clipped, from one arena
-// sized at the first row kept; slots is the arena's size in values.
+// sized at the first row kept; slots is the arena's size in values. A
+// select list of * and planned columns over one scanned table's rows is
+// copied from the table instead of evaluated (tableCols).
 func (ex *Executor) project(sel *sqlast.SelectStmt, c *candidates, wantSrc bool) (rows [][]Value, src []int32, slots int, err error) {
+	var buf [32]int
+	if cols, ok := c.tableCols(sel, buf[:]); ok {
+		rows, src, slots = c.copyCols(cols, wantSrc)
+		if sel.Distinct {
+			rows, src = dedupeRows(rows, src)
+		}
+		return rows, src, slots, nil
+	}
 	n := c.len()
 	var arena []Value
 	var stars [][]int
@@ -1584,6 +1603,69 @@ func (ex *Executor) project(sel *sqlast.SelectStmt, c *candidates, wantSrc bool)
 		rows, src = dedupeRows(rows, src)
 	}
 	return rows, src, slots, nil
+}
+
+// tableCols resolves, for the candidates of a single-table,
+// non-aggregated vectorized arm whose select items are all * or planned
+// columns of the scanned table, the table column each output value copies,
+// into dst. ok=false means the select list has to be evaluated (or is wider
+// than dst).
+func (c *candidates) tableCols(sel *sqlast.SelectStmt, dst []int) ([]int, bool) {
+	v := c.vec
+	if v == nil || v.vp.t2 != nil || v.vp.aggregated {
+		return nil, false
+	}
+	w := 0
+	for _, it := range sel.Items {
+		switch {
+		case it.Star:
+			nc := len(v.vp.t1.Columns)
+			if w+nc > len(dst) {
+				return nil, false
+			}
+			for j := range nc {
+				dst[w+j] = j
+			}
+			w += nc
+		case it.TableStar != "":
+			return nil, false
+		default:
+			ci, ok := v.slotCol(it.Expr)
+			if !ok || w == len(dst) {
+				return nil, false
+			}
+			dst[w] = ci
+			w++
+		}
+	}
+	return dst[:w], true
+}
+
+// copyCols projects the candidates by copying columns cols of their table
+// rows, the values projectRow would append, into one exact-size arena;
+// slots is its size. With wantSrc, src[i] = i.
+func (c *candidates) copyCols(cols []int, wantSrc bool) (rows [][]Value, src []int32, slots int) {
+	n, w := len(c.idx), len(cols)
+	if n == 0 {
+		return nil, nil, 0
+	}
+	table := c.vec.vp.t1.Rows
+	arena := make([]Value, n*w)
+	rows = make([][]Value, n)
+	for i, r := range c.idx {
+		row, out := table[r], arena[i*w:(i+1)*w:(i+1)*w]
+		for j, col := range cols {
+			out[j] = row[col]
+		}
+		rows[i] = out
+	}
+	if wantSrc {
+		src = make([]int32, n)
+		for i := range src {
+			src[i] = int32(i)
+		}
+	}
+	return rows, src, n * w
 }
 
 // groupRows partitions envs by the GROUP BY key into groups in first-seen

@@ -84,6 +84,9 @@ type planSub struct {
 	sel  *sqlast.SelectStmt
 	open string            // "" when closed
 	ref  *sqlast.ColumnRef // the outer-row reference when open is openCorrelated
+	// vec lazily caches a closed subquery's columnar qualification, as
+	// Plan.vec does the statement's: the sub-plan its executions run on.
+	vec atomic.Pointer[vecPlan]
 }
 
 // reason renders why the subquery is open ("" when closed).

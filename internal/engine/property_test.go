@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -295,10 +296,12 @@ func (g *semGen) pred(depth int) string {
 func (g *semGen) agg() string { return g.pick(semAggs) + "(" + g.col() + ")" }
 
 // stmt draws one SELECT over t: a plain filter, DISTINCT, GROUP BY with
-// aggregates, ORDER BY with LIMIT / OFFSET, whole-table aggregates, or
-// negation and ABS.
+// aggregates, ORDER BY with LIMIT / OFFSET, whole-table aggregates,
+// negation and ABS, a column compared with a closed scalar subquery on
+// either side, a column [NOT] IN a closed subquery, or ORDER BY a column
+// the select list leaves out.
 func (g *semGen) stmt() string {
-	shape := g.intn(6)
+	shape := g.intn(10)
 	x, y := g.col(), g.col()
 	where := " FROM t WHERE " + g.pred(0)
 	switch shape {
@@ -314,8 +317,26 @@ func (g *semGen) stmt() string {
 			" LIMIT " + g.pick([]string{"5", "-1", "2.5"}) + " OFFSET " + g.pick([]string{"0", "3", "2.5", "-1", "NULL"})
 	case 4:
 		return "SELECT " + g.agg() + ", " + g.agg() + ", " + g.agg() + where
+	case 5:
+		return "SELECT id, -" + x + ", ABS(" + y + ")" + where
+	case 6, 7:
+		sub := "(SELECT " + g.pick([]string{"MIN", "MAX", "AVG"}) + "(" + y + ") FROM t WHERE " + g.pred(1) + ")"
+		cmp := x + " " + g.pick(semOps) + " " + sub
+		if shape == 7 {
+			cmp = sub + " " + g.pick(semOps) + " " + x
+		}
+		return "SELECT id, " + x + " FROM t WHERE " + cmp
+	case 8:
+		return "SELECT id, " + x + " FROM t WHERE " + x + g.pick([]string{" IN ", " NOT IN "}) +
+			"(SELECT " + y + " FROM t WHERE " + g.pred(1) + ")"
 	}
-	return "SELECT id, -" + x + ", ABS(" + y + ")" + where
+	items := make([]string, 0, len(semCols))
+	for _, c := range semCols {
+		if c != y {
+			items = append(items, c)
+		}
+	}
+	return "SELECT " + strings.Join(items, ", ") + where + " ORDER BY " + y + g.pick([]string{"", " ASC", " DESC"})
 }
 
 // semCase decodes one case: a table t(id, a, b, c) of 0–300 rows whose

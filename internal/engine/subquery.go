@@ -7,11 +7,14 @@ import "fisql/internal/sqlast"
 // every derived table beneath one — as closed when no reference under it
 // resolves outside it. A closed subquery's result cannot depend on the row
 // being evaluated, so Run executes it on first evaluation and answers every
-// later evaluation in the same Run from a memo. Execution stays lazy: a
-// subquery no row reaches never runs, so it can never raise an error the
-// interpreter would not. An error is memoized like a result, because the
-// columnar attempt may hit it, bail, and have the row executor reach the
-// same subquery again.
+// later evaluation in the same Run from a memo. It executes as a sub-plan
+// of the statement: with no outer scope, on the vectorized path when its
+// own cached qualification allows (vec.go) and on the row executor
+// otherwise, counted in ColumnarStats like the statement. Execution stays
+// lazy: a subquery no row reaches never runs, so it can never raise an
+// error the interpreter would not. An error is memoized like a result,
+// because the columnar attempt may hit it, bail, and have the row executor
+// reach the same subquery again.
 //
 // The memo lives for one top-level Run and is keyed by plan entry, so it
 // exists only under a plan: Executor.Select never memoizes and remains the
@@ -46,9 +49,15 @@ func (ex *Executor) memoFor(sub *sqlast.SelectStmt) *subMemo {
 	return &ex.memo[i]
 }
 
+// closedSub reports whether sub is a closed subquery of the running plan.
+func (ex *Executor) closedSub(sub *sqlast.SelectStmt) bool {
+	i, ok := ex.plan.subIdx[sub]
+	return ok && ex.plan.subs[i].open == ""
+}
+
 // subResult evaluates subquery sub for the row env. m is memoFor(sub). The
 // returned Result may be shared with earlier and later evaluations: callers
-// only read it (ORDER BY and LIMIT are applied inside execSelect).
+// only read it (ORDER BY and LIMIT are applied by the tail that made it).
 func (ex *Executor) subResult(sub *sqlast.SelectStmt, env *rowEnv, m *subMemo) (*Result, error) {
 	if m == nil {
 		return ex.execSelect(sub, env)
@@ -58,10 +67,10 @@ func (ex *Executor) subResult(sub *sqlast.SelectStmt, env *rowEnv, m *subMemo) (
 		return m.res, m.err
 	}
 	ex.subStats.ClosedExecs++
-	// A closed subquery never reads env, so it runs without an outer scope:
-	// that lets its base-table scans share the database's scan environments
-	// instead of materializing a chained copy.
-	m.res, m.err = ex.execSelect(sub, nil)
+	// A closed subquery never reads env, so it runs without an outer scope,
+	// as a sub-plan of the statement: it shares the statement's column
+	// slots, subqueries and memo, and keeps its own columnar qualification.
+	m.res, m.err = ex.runSelect(sub, &ex.plan.subs[ex.plan.subIdx[sub]].vec)
 	m.done = true
 	return m.res, m.err
 }

@@ -1,24 +1,34 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"fisql/internal/sqlast"
 )
 
 // This file implements the vectorized columnar execution path. Executor.Run
-// tries it before the row-at-a-time executor; SetColumnar(false) disables
-// it. It vectorizes the first half of a SELECT — scan, join, WHERE, GROUP BY
-// and the aggregate folds — and stops at its candidates: the selected
-// context rows, or the groups with their aggregates folded into one slab,
-// len(aggNodes) values per group, which evalCtx.folded exposes one group at
-// a time. The row executor's one tail (finish, exec.go) then runs
-// HAVING, the select list, DISTINCT, ORDER BY and LIMIT over the
-// environments the row path itself would use: the shared scan environments
-// of a single table, or a scratch environment over each (left, right) pair
-// of a join. Output rows are thus gathered from Table.Rows by the row path's
-// own code; the typed column arrays (columnar.go) feed only masks and folds,
-// and their kinds give the join keys' domain.
+// tries it before the row-at-a-time executor, for the statement and for
+// each execution of a closed subquery, which runs as a sub-plan of the
+// statement; SetColumnar(false) disables it. It vectorizes the first half
+// of a SELECT — scan, join, WHERE, GROUP BY and the aggregate folds — and
+// stops at its candidates: the selected context rows, or the groups with
+// their aggregates folded into one slab, len(aggNodes) values per group,
+// which evalCtx.folded exposes one group at a time. A closed scalar
+// subquery is a constant to the mask kernels and a closed IN subquery a
+// candidate set, both taken from the Run's memo (subquery.go).
+//
+// The one tail (finish, exec.go) then runs HAVING, the select list,
+// DISTINCT, ORDER BY and LIMIT. Over the rows of one scanned table, not
+// aggregated, it reads columns: a select list of * and planned columns is
+// copied from Table.Rows into the result arena, and ORDER BY keys that are
+// output columns or planned columns fill the typed key arrays straight from
+// the rows or the table. Everything else evaluates over the environments the
+// row path itself would use: the shared scan environments of a single
+// table, or a scratch environment over each (left, right) pair of a join.
+// The typed column arrays (columnar.go) feed the masks and the folds, and
+// their kinds give the join keys' domain.
 //
 // Results are byte-identical by construction. The vectorized stages succeed
 // only where the row stages succeed with the same selection and the same
@@ -30,12 +40,14 @@ import (
 // so it may meet another error first), a join-key domain without a hash
 // (key.go), and a scan or join past maxRows.
 //
-// Plan-time qualification (buildVecPlan) is purely structural: single
-// catalog table, or exactly one INNER/LEFT hash equi-join of two catalog
-// tables on a planned cross-side column equality. Everything else — derived
-// tables, multi-joins, compound selects — routes to the row executor.
+// Qualification (buildVecPlan, on a SELECT's first run) is purely
+// structural: single catalog table, or exactly one INNER/LEFT hash
+// equi-join of two catalog tables on a planned cross-side column equality.
+// Everything else — derived tables, multi-joins, compound selects — routes
+// to the row executor.
 
-// vecPlan is a statement's columnar qualification, cached on the Plan.
+// vecPlan is one SELECT's columnar qualification, cached on the Plan for
+// the statement and on the planSub for a closed subquery.
 type vecPlan struct {
 	ok bool
 
@@ -58,10 +70,11 @@ type vecPlan struct {
 	aggNodes   []*sqlast.FuncCall
 }
 
-// buildVecPlan qualifies p's statement for columnar execution.
-func buildVecPlan(p *Plan) *vecPlan {
+// buildVecPlan qualifies sel, p's statement or one of its closed
+// subqueries, for columnar execution. Column references resolve through
+// p's slots, which cover both.
+func buildVecPlan(p *Plan, sel *sqlast.SelectStmt) *vecPlan {
 	no := &vecPlan{}
-	sel := p.Stmt
 	if sel.Compound != nil || sel.From == nil || sel.From.First.Sub != nil {
 		return no
 	}
@@ -74,7 +87,7 @@ func buildVecPlan(p *Plan) *vecPlan {
 	if vp.alias1 == "" {
 		vp.alias1 = strings.ToLower(sel.From.First.Name)
 	}
-	vp.cols1 = columnNames(t1)
+	vp.cols1 = p.db.colTable(t1).names
 
 	if len(sel.From.Joins) > 1 {
 		return no
@@ -123,7 +136,7 @@ func buildVecPlan(p *Plan) *vecPlan {
 		if vp.alias2 == "" {
 			vp.alias2 = strings.ToLower(j.Source.Name)
 		}
-		vp.cols2 = columnNames(t2)
+		vp.cols2 = p.db.colTable(t2).names
 	}
 
 	vp.aggregated = aggregated(sel)
@@ -139,14 +152,6 @@ func buildVecPlan(p *Plan) *vecPlan {
 		}
 	}
 	return vp
-}
-
-func columnNames(t *Table) []string {
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = c.Name
-	}
-	return cols
 }
 
 // collectAggregates gathers the aggregate calls in e that evaluate in THIS
@@ -209,14 +214,16 @@ type vecExec struct {
 	fold foldedAggs
 }
 
-// runVec runs the vectorized stages of p and returns its candidates and
-// header for the tail. ok=false means the caller must run the row executor;
-// it is returned for both unqualified statements and mid-flight bails.
-func (ex *Executor) runVec(p *Plan) (c candidates, cols []string, ok bool) {
-	vp := p.vec.Load()
+// runVec runs the vectorized stages of sel, p's statement or one of its
+// closed subqueries, whose qualification cache holds, and returns its
+// candidates and header for the tail. ok=false means the caller must run
+// the row executor; it is returned for both unqualified statements and
+// mid-flight bails.
+func (ex *Executor) runVec(p *Plan, sel *sqlast.SelectStmt, cache *atomic.Pointer[vecPlan]) (c candidates, cols []string, ok bool) {
+	vp := cache.Load()
 	if vp == nil {
-		vp = buildVecPlan(p)
-		p.vec.Store(vp)
+		vp = buildVecPlan(p, sel)
+		cache.Store(vp)
 	}
 	if !vp.ok {
 		return candidates{}, nil, false
@@ -226,7 +233,7 @@ func (ex *Executor) runVec(p *Plan) (c candidates, cols []string, ok bool) {
 	if len(vp.t1.Rows) > ex.maxRows {
 		return candidates{}, nil, false
 	}
-	v := &vecExec{ex: ex, vp: vp, stmt: p.Stmt}
+	v := &vecExec{ex: ex, vp: vp, stmt: sel}
 	if vp.t2 == nil {
 		v.n = len(vp.t1.Rows)
 		v.ct1 = ex.db.colTable(vp.t1)
@@ -441,20 +448,35 @@ func (v *vecExec) slotCol(e sqlast.Expr) (int, bool) {
 	return slot.col, true
 }
 
-// constVal evaluates a literal operand once. Literal evaluation is
-// environment-free; an unparseable number literal surfaces as an error and
-// bails the whole attempt (the row executor owns whether that error is ever
-// reached).
-func (v *vecExec) constVal(e sqlast.Expr) (Value, bool, error) {
-	lit, ok := e.(*sqlast.Literal)
-	if !ok {
-		return Value{}, false, nil
+// constOperand reports whether e has one value for every context row: a
+// literal, or, over a non-empty context, a closed scalar subquery.
+func (v *vecExec) constOperand(e sqlast.Expr) bool {
+	switch x := e.(type) {
+	case *sqlast.Literal:
+		return true
+	case *sqlast.SubqueryExpr:
+		return v.n > 0 && v.ex.closedSub(x.Sub)
 	}
-	val, err := v.ex.eval(lit, &rowEnv{}, nil)
-	if err != nil {
-		return Value{}, false, err
+	return false
+}
+
+// constVal evaluates a constant operand once. Neither form reads the
+// environment. An unparseable number literal or a failing subquery surfaces
+// as an error and bails the whole attempt (the row executor owns whether
+// that error is ever reached).
+func (v *vecExec) constVal(e sqlast.Expr) (Value, error) {
+	return v.ex.eval(e, nil, nil)
+}
+
+// countRowEvals is called once a kernel has evaluated the constant operand
+// e and is sure to produce its mask. The row path evaluates e on every
+// context row, and a closed subquery answers each row after the first from
+// its memo; those answers are counted here, so that SubqueryStats reads the
+// same on both paths.
+func (v *vecExec) countRowEvals(e sqlast.Expr) {
+	if _, ok := e.(*sqlast.SubqueryExpr); ok {
+		v.ex.subStats.MemoHits += int64(v.n - 1)
 	}
-	return val, true, nil
 }
 
 func fillMask(n int, m int8) []int8 {
@@ -598,7 +620,7 @@ func (v *vecExec) mask(e sqlast.Expr) ([]int8, error) {
 			return m, nil
 		}
 	case *sqlast.Literal:
-		val, _, err := v.constVal(x)
+		val, err := v.constVal(x)
 		if err != nil {
 			return nil, err
 		}
@@ -670,35 +692,45 @@ func or3(a, b int8) int8 {
 	return mFalse
 }
 
-// cmpMask vectorizes a comparison when the operand shapes allow it.
+// cmpMask vectorizes a comparison of a planned column with a constant
+// operand or with another planned column.
 func (v *vecExec) cmpMask(x *sqlast.Binary) ([]int8, error) {
-	op := x.Op
 	if ci, ok := v.slotCol(x.L); ok {
-		if lit, isLit, err := v.constVal(x.R); err != nil {
-			return nil, err
-		} else if isLit {
-			if m, ok := v.cmpColLit(ci, lit, op); ok {
-				return m, nil
-			}
-			return v.genericMask(x)
-		}
 		if cj, ok := v.slotCol(x.R); ok {
-			if m, ok := v.cmpColCol(ci, cj, op); ok {
+			if m, ok := v.cmpColCol(ci, cj, x.Op); ok {
 				return m, nil
 			}
+		} else if v.constOperand(x.R) {
+			return v.cmpColConst(ci, x.R, x.Op)
 		}
-		return v.genericMask(x)
-	}
-	if lit, isLit, err := v.constVal(x.L); err != nil {
-		return nil, err
-	} else if isLit {
-		if ci, ok := v.slotCol(x.R); ok {
-			if m, ok := v.cmpColLit(ci, lit, flipCmp(op)); ok {
-				return m, nil
-			}
-		}
+	} else if ci, ok := v.slotCol(x.R); ok && v.constOperand(x.L) {
+		return v.cmpColConst(ci, x.L, flipCmp(x.Op))
 	}
 	return v.genericMask(x)
+}
+
+// cmpColConst compares column ci with the constant operand e: on the typed
+// column where the domains allow, with Compare per row, as evalBinary does,
+// otherwise.
+func (v *vecExec) cmpColConst(ci int, e sqlast.Expr, op sqlast.BinaryOp) ([]int8, error) {
+	k, err := v.constVal(e)
+	if err != nil {
+		return nil, err
+	}
+	v.countRowEvals(e)
+	if m, ok := v.cmpColLit(ci, k, op); ok {
+		return m, nil
+	}
+	rows := v.vp.t1.Rows
+	m := make([]int8, v.n)
+	for i := range m {
+		if val := rows[i][ci]; val.IsNull() {
+			m[i] = mNull
+		} else {
+			m[i] = cmpResult(op, Compare(val, k))
+		}
+	}
+	return m, nil
 }
 
 func (v *vecExec) cmpColLit(ci int, lit Value, op sqlast.BinaryOp) ([]int8, bool) {
@@ -776,20 +808,19 @@ func (v *vecExec) cmpColCol(ci, cj int, op sqlast.BinaryOp) ([]int8, bool) {
 
 func (v *vecExec) betweenMask(x *sqlast.BetweenExpr) ([]int8, bool, error) {
 	ci, ok := v.slotCol(x.X)
-	if !ok {
+	if !ok || !v.constOperand(x.Lo) || !v.constOperand(x.Hi) {
 		return nil, false, nil
 	}
-	lo, lok, err := v.constVal(x.Lo)
+	lo, err := v.constVal(x.Lo)
 	if err != nil {
 		return nil, false, err
 	}
-	hi, hok, err := v.constVal(x.Hi)
+	hi, err := v.constVal(x.Hi)
 	if err != nil {
 		return nil, false, err
 	}
-	if !lok || !hok {
-		return nil, false, nil
-	}
+	v.countRowEvals(x.Lo)
+	v.countRowEvals(x.Hi)
 	c := &v.ct1.cols[ci]
 	if lo.IsNull() || hi.IsNull() || c.kind == kindEmpty {
 		return fillMask(v.n, mNull), true, nil
@@ -826,36 +857,57 @@ func (v *vecExec) betweenMask(x *sqlast.BetweenExpr) ([]int8, bool, error) {
 		}
 		return m, true, nil
 	}
-	return nil, false, nil
+	rows := v.vp.t1.Rows
+	m := make([]int8, v.n)
+	for i := range m {
+		val := rows[i][ci]
+		if val.IsNull() {
+			m[i] = mNull
+			continue
+		}
+		if in := Compare(val, lo) >= 0 && Compare(val, hi) <= 0; in != x.Not {
+			m[i] = mTrue
+		}
+	}
+	return m, true, nil
 }
 
 func (v *vecExec) likeMask(x *sqlast.LikeExpr) ([]int8, bool, error) {
 	ci, ok := v.slotCol(x.X)
-	if !ok {
+	if !ok || !v.constOperand(x.Pattern) {
 		return nil, false, nil
 	}
-	pat, isLit, err := v.constVal(x.Pattern)
+	pat, err := v.constVal(x.Pattern)
 	if err != nil {
 		return nil, false, err
 	}
-	if !isLit {
-		return nil, false, nil
-	}
+	v.countRowEvals(x.Pattern)
 	c := &v.ct1.cols[ci]
 	if pat.IsNull() || c.kind == kindEmpty {
 		return fillMask(v.n, mNull), true, nil
 	}
-	if c.kind != kindString {
-		return nil, false, nil
-	}
 	lp := v.ex.lowerPattern(pat.String())
 	m := make([]int8, v.n)
+	if c.kind == kindString {
+		for i := range m {
+			if c.null(i) {
+				m[i] = mNull
+				continue
+			}
+			if likeMatchLower(c.strs[i], lp) != x.Not {
+				m[i] = mTrue
+			}
+		}
+		return m, true, nil
+	}
+	rows := v.vp.t1.Rows
 	for i := range m {
-		if c.null(i) {
+		val := rows[i][ci]
+		if val.IsNull() {
 			m[i] = mNull
 			continue
 		}
-		if likeMatchLower(c.strs[i], lp) != x.Not {
+		if likeMatchLower(val.String(), lp) != x.Not {
 			m[i] = mTrue
 		}
 	}
@@ -863,21 +915,26 @@ func (v *vecExec) likeMask(x *sqlast.LikeExpr) ([]int8, bool, error) {
 }
 
 func (v *vecExec) inMask(x *sqlast.InExpr) ([]int8, bool, error) {
-	if x.Sub != nil {
-		return nil, false, nil
-	}
 	ci, ok := v.slotCol(x.X)
 	if !ok {
 		return nil, false, nil
 	}
+	if x.Sub != nil {
+		if !v.ex.closedSub(x.Sub) {
+			return nil, false, nil
+		}
+		return v.inSubMask(ci, x)
+	}
+	// A list element is evaluated only for a non-NULL x, so only literals
+	// are constants here.
 	candidates := make([]Value, 0, len(x.List))
 	for _, le := range x.List {
-		cv, isLit, err := v.constVal(le)
+		if _, isLit := le.(*sqlast.Literal); !isLit {
+			return nil, false, nil
+		}
+		cv, err := v.constVal(le)
 		if err != nil {
 			return nil, false, err
-		}
-		if !isLit {
-			return nil, false, nil
 		}
 		candidates = append(candidates, cv)
 	}
@@ -913,6 +970,52 @@ func (v *vecExec) inMask(x *sqlast.InExpr) ([]int8, bool, error) {
 			if x.Not {
 				m[i] = mTrue
 			}
+		}
+	}
+	return m, true, nil
+}
+
+// inSubMask evaluates column ci [NOT] IN a closed subquery as evalIn does:
+// the subquery runs at the first non-NULL value of the column, its column
+// folds into the memo's candidate set once, and every further non-NULL value
+// is one memo hit.
+func (v *vecExec) inSubMask(ci int, x *sqlast.InExpr) ([]int8, bool, error) {
+	rows := v.vp.t1.Rows
+	nonNull := 0
+	for i := range rows {
+		if !rows[i][ci].IsNull() {
+			nonNull++
+		}
+	}
+	if nonNull == 0 {
+		return fillMask(v.n, mNull), true, nil
+	}
+	memo := v.ex.memoFor(x.Sub)
+	res, err := v.ex.subResult(x.Sub, nil, memo)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(res.Columns) != 1 {
+		return nil, false, fmt.Errorf("IN subquery returned %d columns", len(res.Columns))
+	}
+	v.ex.subStats.MemoHits += int64(nonNull - 1)
+	if memo.in == nil {
+		memo.in = newInSet(res.Rows)
+	}
+	m := make([]int8, v.n)
+	for i := range m {
+		val := rows[i][ci]
+		switch {
+		case val.IsNull():
+			m[i] = mNull
+		case memo.in.contains(val):
+			if !x.Not {
+				m[i] = mTrue
+			}
+		case memo.in.sawNull:
+			m[i] = mNull
+		case x.Not:
+			m[i] = mTrue
 		}
 	}
 	return m, true, nil
