@@ -441,54 +441,6 @@ func BenchmarkRepair(b *testing.B) {
 // ----------------------------------------------------------------------------
 // Compile-once engine micro-benchmarks
 
-// benchJoinDB builds an orders/customers pair sized so the nested-loop join
-// does rows*customers ON evaluations while the hash join does one build +
-// one probe per row.
-func benchJoinDB(b *testing.B, orders, customers int) *engine.Database {
-	b.Helper()
-	db := engine.NewDatabase("bench_join")
-	if err := db.LoadScript("CREATE TABLE customers (id INT, name TEXT);\nCREATE TABLE orders (id INT, cust_id INT, total INT);"); err != nil {
-		b.Fatal(err)
-	}
-	ct, _ := db.Table("customers")
-	for i := 0; i < customers; i++ {
-		ct.Rows = append(ct.Rows, []engine.Value{engine.Int(int64(i)), engine.Text(fmt.Sprintf("c%d", i))})
-	}
-	ot, _ := db.Table("orders")
-	for i := 0; i < orders; i++ {
-		ot.Rows = append(ot.Rows, []engine.Value{engine.Int(int64(i)), engine.Int(int64(i % customers)), engine.Int(int64(i * 7 % 100))})
-	}
-	return db
-}
-
-// BenchmarkJoinNestedVsHash compares the O(n·m) nested loop with the hash
-// equi-join on the same 2000x500 equality join.
-func BenchmarkJoinNestedVsHash(b *testing.B) {
-	db := benchJoinDB(b, 2000, 500)
-	sql := "SELECT COUNT(*) FROM orders JOIN customers ON orders.cust_id = customers.id"
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("nested", func(b *testing.B) {
-		ex := engine.NewExecutor(db)
-		ex.SetHashJoin(false)
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Select(sel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		ex := engine.NewExecutor(db)
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Select(sel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkPlanCacheHit compares re-parsing+planning a query per execution
 // against serving the plan from a shared engine.Cache.
 func BenchmarkPlanCacheHit(b *testing.B) {

@@ -97,15 +97,13 @@ func TestDifferentialPlannedVsInterpreter(t *testing.T) {
 				if db == nil {
 					continue
 				}
-				// Reference: the seed interpreter — no plan, no hash joins.
+				// Reference: the seed interpreter — no plan, nested-loop joins.
 				var refRes *engine.Result
 				var refErr error
 				if sel, perr := sqlparse.ParseSelect(qq.sql); perr != nil {
 					refErr = perr
 				} else {
-					ref := engine.NewExecutor(db)
-					ref.SetHashJoin(false)
-					refRes, refErr = ref.Select(sel)
+					refRes, refErr = engine.NewExecutor(db).Select(sel)
 				}
 				check := func(leg string, gotRes *engine.Result, gotErr error) {
 					t.Helper()

@@ -21,8 +21,6 @@ type Executor struct {
 	// plan, when set, supplies resolved column slots so eval can index
 	// binding values directly instead of scanning names per row.
 	plan *Plan
-	// noHashJoin forces the nested-loop join path; see SetHashJoin.
-	noHashJoin bool
 	// noColumnar disables the vectorized columnar path; see SetColumnar.
 	noColumnar bool
 	// likePatterns memoizes lowercased LIKE patterns so the per-row match
@@ -42,16 +40,11 @@ func NewExecutor(db *Database) *Executor {
 	return &Executor{db: db, maxRows: 2_000_000}
 }
 
-// SetHashJoin toggles the hash equi-join fast path (on by default). The
-// nested-loop path is semantically identical; the knob exists so
-// differential tests and benchmarks can pin one side.
-func (ex *Executor) SetHashJoin(on bool) { ex.noHashJoin = !on }
-
 // SetColumnar toggles the vectorized columnar path Run tries before the
 // row-at-a-time executor (on by default). The columnar path is
 // result-identical by construction — it bails back to the row path rather
 // than diverge — so the knob exists for differential tests and paired
-// benchmarks, like SetHashJoin.
+// benchmarks.
 func (ex *Executor) SetColumnar(on bool) { ex.noColumnar = !on }
 
 // Query parses, plans and executes a SELECT given as text. Use a shared
@@ -219,7 +212,7 @@ func (ex *Executor) fromRows(from *sqlast.FromClause, outer *rowEnv) ([]*rowEnv,
 		if err != nil {
 			return nil, err
 		}
-		envs, err = ex.joinRows(envs, j, jAlias, jCols, jRows, outer)
+		envs, err = ex.nestedJoin(envs, j, jAlias, jCols, jRows, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -265,26 +258,6 @@ func (ex *Executor) baseEnvs(ts sqlast.TableSource, outer *rowEnv) ([]*rowEnv, e
 	return envs, nil
 }
 
-// joinRows joins the accumulated left side against one new source,
-// dispatching to the hash equi-join when the ON clause qualifies and the
-// nested loop otherwise. Both paths emit rows in identical (left-major,
-// right-source) order, so downstream LIMIT-without-ORDER-BY results and the
-// maxRows error point are the same either way.
-func (ex *Executor) joinRows(envs []*rowEnv, j *sqlast.Join, jAlias string, jCols []string, jRows [][]Value, outer *rowEnv) ([]*rowEnv, error) {
-	if !ex.noHashJoin {
-		if spec, ok := ex.equiJoinSpec(envs, j, jAlias, jCols, jRows); ok {
-			joined, done, err := ex.hashJoin(envs, j, jAlias, jCols, jRows, outer, spec)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				return joined, nil
-			}
-		}
-	}
-	return ex.nestedJoin(envs, j, jAlias, jCols, jRows, outer)
-}
-
 // envArena snapshots scratch environments for emitted join rows, handing
 // out rowEnv structs and binding slices from 256-entry blocks so a join
 // emitting k rows costs ~2k/256 heap allocations instead of 2k. The binding
@@ -314,9 +287,10 @@ func (a *envArena) clone(src *rowEnv) *rowEnv {
 	return e
 }
 
-// nestedJoin is the O(n·m) join: every (left, right) pair is materialized
-// into a reusable scratch environment and tested against the ON clause; the
-// scratch is cloned only for pairs that survive.
+// nestedJoin is the row executor's join, O(n·m): every (left, right) pair
+// is materialized into a reusable scratch environment and tested against
+// the ON clause; the scratch is cloned only for pairs that survive. The
+// engine's one hash join is the vectorized path's (buildPairs, vec.go).
 func (ex *Executor) nestedJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jCols []string, jRows [][]Value, outer *rowEnv) ([]*rowEnv, error) {
 	joined := make([]*rowEnv, 0, len(envs))
 	var nulls []Value
@@ -362,267 +336,12 @@ func (ex *Executor) nestedJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jC
 	return joined, nil
 }
 
-// ----------------------------------------------------------------------------
-// Hash equi-join
-//
-// The fast path replaces the nested loop when the ON clause is a conjunction
-// in which (a) one equality compares a column of the accumulated left side
-// with a column of the newly joined source, (b) every conjunct is free of
-// runtime errors by construction (so skipping its evaluation for pairs the
-// hash table filters out cannot suppress an error the nested loop would
-// raise), and (c) the key columns' non-NULL values form one hashable
-// keyDomain across both sides: the join equivalence (key.go) has a hash
-// only there. Anything else bails to the nested loop.
-
-// equiJoinSpec describes one hashable equality conjunct of a JOIN ON plus
-// the remaining (residual) conjuncts evaluated per candidate pair.
-type equiJoinSpec struct {
-	leftBinding int // key column on the accumulated left side...
-	leftCol     int
-	rightCol    int       // ...equated with this column of the new source
-	dom         keyDomain // the key columns' domain
-	residual    []sqlast.Expr
-}
-
 // splitAnd flattens a conjunction into its top-level conjuncts.
 func splitAnd(e sqlast.Expr) []sqlast.Expr {
 	if b, ok := e.(*sqlast.Binary); ok && b.Op == sqlast.OpAnd {
 		return append(splitAnd(b.L), splitAnd(b.R)...)
 	}
 	return []sqlast.Expr{e}
-}
-
-// resolveJoinRef resolves a column reference against the join's two sides
-// using the same rules as rowEnv.lookup (first alias match wins; bare names
-// must be unambiguous). ok=false means the reference is unknown, ambiguous,
-// or belongs to an outer scope — all reasons to keep the nested loop.
-func resolveJoinRef(left []binding, rightAlias string, rightCols []string, table, col string) (onRight bool, bindIdx, colIdx int, ok bool) {
-	if table != "" {
-		want := strings.ToLower(table)
-		for bi := range left {
-			if left[bi].alias != want {
-				continue
-			}
-			for ci, cn := range left[bi].cols {
-				if strings.EqualFold(cn, col) {
-					return false, bi, ci, true
-				}
-			}
-			return false, 0, 0, false // first alias match lacks the column
-		}
-		if rightAlias == want {
-			for ci, cn := range rightCols {
-				if strings.EqualFold(cn, col) {
-					return true, 0, ci, true
-				}
-			}
-		}
-		return false, 0, 0, false
-	}
-	count := 0
-	for bi := range left {
-		for ci, cn := range left[bi].cols {
-			if strings.EqualFold(cn, col) {
-				count++
-				if count == 1 {
-					onRight, bindIdx, colIdx = false, bi, ci
-				}
-			}
-		}
-	}
-	for ci, cn := range rightCols {
-		if strings.EqualFold(cn, col) {
-			count++
-			if count == 1 {
-				onRight, colIdx = true, ci
-			}
-		}
-	}
-	if count != 1 {
-		return false, 0, 0, false
-	}
-	return onRight, bindIdx, colIdx, true
-}
-
-// joinOperandSafe reports whether e evaluates without any possibility of
-// error for every candidate join row: a resolvable column reference or a
-// literal whose text parses.
-func joinOperandSafe(e sqlast.Expr, left []binding, rightAlias string, rightCols []string) bool {
-	switch x := e.(type) {
-	case *sqlast.ColumnRef:
-		_, _, _, ok := resolveJoinRef(left, rightAlias, rightCols, x.Table, x.Column)
-		return ok
-	case *sqlast.Literal:
-		if x.Kind != sqlast.LitNumber {
-			return true
-		}
-		// Number literals are re-parsed at eval time and can fail there.
-		var err error
-		if strings.Contains(x.Text, ".") {
-			_, err = strconv.ParseFloat(x.Text, 64)
-		} else {
-			_, err = strconv.ParseInt(x.Text, 10, 64)
-		}
-		return err == nil
-	}
-	return false
-}
-
-// joinConjunctSafe restricts residual conjuncts to comparisons and IS NULL
-// checks over safe operands — forms whose evaluation cannot error, so the
-// hash path skipping them for non-matching pairs is unobservable.
-func joinConjunctSafe(e sqlast.Expr, left []binding, rightAlias string, rightCols []string) bool {
-	switch x := e.(type) {
-	case *sqlast.Binary:
-		switch x.Op {
-		case sqlast.OpEq, sqlast.OpNeq, sqlast.OpLt, sqlast.OpLte, sqlast.OpGt, sqlast.OpGte:
-			return joinOperandSafe(x.L, left, rightAlias, rightCols) &&
-				joinOperandSafe(x.R, left, rightAlias, rightCols)
-		}
-		return false
-	case *sqlast.IsNullExpr:
-		return joinOperandSafe(x.X, left, rightAlias, rightCols)
-	}
-	return false
-}
-
-// equiJoinSpec extracts a hashable equality from the ON clause, or reports
-// that this join must run as a nested loop.
-func (ex *Executor) equiJoinSpec(envs []*rowEnv, j *sqlast.Join, jAlias string, jCols []string, jRows [][]Value) (*equiJoinSpec, bool) {
-	if j.On == nil || len(envs) == 0 {
-		return nil, false
-	}
-	left := envs[0].bindings // all envs share the same binding structure
-	conjs := splitAnd(j.On)
-	for _, c := range conjs {
-		if !joinConjunctSafe(c, left, jAlias, jCols) {
-			return nil, false
-		}
-	}
-	spec := &equiJoinSpec{}
-	keyIdx := -1
-	for i, c := range conjs {
-		b, ok := c.(*sqlast.Binary)
-		if !ok || b.Op != sqlast.OpEq {
-			continue
-		}
-		lref, lok := b.L.(*sqlast.ColumnRef)
-		rref, rok := b.R.(*sqlast.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		lRight, lb, lc, ok1 := resolveJoinRef(left, jAlias, jCols, lref.Table, lref.Column)
-		rRight, rb, rc, ok2 := resolveJoinRef(left, jAlias, jCols, rref.Table, rref.Column)
-		if !ok1 || !ok2 || lRight == rRight {
-			continue // both operands on the same side: not a cross-side key
-		}
-		if lRight {
-			spec.leftBinding, spec.leftCol, spec.rightCol = rb, rc, lc
-		} else {
-			spec.leftBinding, spec.leftCol, spec.rightCol = lb, lc, rc
-		}
-		keyIdx = i
-		break
-	}
-	if keyIdx < 0 {
-		return nil, false
-	}
-	spec.residual = append(conjs[:keyIdx:keyIdx], conjs[keyIdx+1:]...)
-
-	// Both sides' non-NULL keys must share a domain with a hash (or all be
-	// NULL, which matches nothing); a mixed domain bails out.
-	for _, le := range envs {
-		if spec.dom = spec.dom.with(le.bindings[spec.leftBinding].vals[spec.leftCol]); spec.dom == domMixed {
-			return nil, false
-		}
-	}
-	for _, r := range jRows {
-		if spec.dom = spec.dom.with(r[spec.rightCol]); spec.dom == domMixed {
-			return nil, false
-		}
-	}
-	return spec, true
-}
-
-// hashJoin executes the join described by spec, building an eqTable on the
-// smaller side. Emission order is left-major regardless of build side: when
-// the left side is the build side, the matched (left, right) pairs are
-// partitioned by left row first. done=false (with nil error) means the pairs
-// grew past maxRows and the caller should fall back to the nested loop,
-// which owns the exact error-point semantics for pathological joins.
-func (ex *Executor) hashJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jCols []string, jRows [][]Value, outer *rowEnv, spec *equiJoinSpec) ([]*rowEnv, bool, error) {
-	leftKey := func(le *rowEnv) Value { return le.bindings[spec.leftBinding].vals[spec.leftCol] }
-	rightKey := func(ri int) Value { return jRows[ri][spec.rightCol] }
-
-	// probe yields the candidate right-row indices for one left row, in
-	// right-source order.
-	var probe func(li int, le *rowEnv) []int32
-	if len(jRows) <= len(envs) {
-		ht := newEqTable(spec.dom, len(jRows), rightKey)
-		probe = func(_ int, le *rowEnv) []int32 { return ht.match(leftKey(le)) }
-	} else {
-		ht := newEqTable(spec.dom, len(envs), func(li int) Value { return leftKey(envs[li]) })
-		// Sized for a key join: each right row matches one left row at most.
-		lis, ris := make([]int32, 0, len(jRows)), make([]int32, 0, len(jRows))
-		for ri := range jRows {
-			for _, li := range ht.match(rightKey(ri)) {
-				lis, ris = append(lis, li), append(ris, int32(ri))
-				if len(ris) > ex.maxRows {
-					return nil, false, nil
-				}
-			}
-		}
-		lists := partition(ris, lis, len(envs))
-		probe = func(li int, _ *rowEnv) []int32 { return lists.at(li) }
-	}
-
-	joined := make([]*rowEnv, 0, len(envs))
-	var nulls []Value
-	if j.Type == sqlast.JoinLeft {
-		nulls = make([]Value, len(jCols))
-		for i := range nulls {
-			nulls[i] = Null()
-		}
-	}
-	scratch := &rowEnv{outer: outer}
-	var arena envArena
-	for li, left := range envs {
-		nb := len(left.bindings)
-		if cap(scratch.bindings) < nb+1 {
-			scratch.bindings = make([]binding, nb+1)
-		}
-		scratch.bindings = scratch.bindings[:nb+1]
-		copy(scratch.bindings, left.bindings)
-		scratch.bindings[nb] = binding{alias: jAlias, cols: jCols}
-		matched := false
-		for _, ri := range probe(li, left) {
-			scratch.bindings[nb].vals = jRows[ri]
-			pass := true
-			for _, c := range spec.residual {
-				ok, err := ex.evalBool(c, scratch, nil)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					pass = false
-					break
-				}
-			}
-			if !pass {
-				continue
-			}
-			matched = true
-			joined = append(joined, arena.clone(scratch))
-			if len(joined) > ex.maxRows {
-				return nil, false, fmt.Errorf("join result exceeds %d rows", ex.maxRows)
-			}
-		}
-		if !matched && j.Type == sqlast.JoinLeft {
-			scratch.bindings[nb].vals = nulls
-			joined = append(joined, arena.clone(scratch))
-		}
-	}
-	return joined, true, nil
 }
 
 // ----------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Execution differential fuzzing: the planned+cached execution path must
 // never panic and must agree byte-for-byte with the dynamic-lookup
-// interpreter (plan-less Select: no slots, no subquery memo, hash joins off)
+// interpreter (plan-less Select: no slots, no subquery memo, nested-loop joins)
 // on every input — gold SQL, trap variants, demonstration pool, and whatever
 // mutations the fuzzer derives from them.
 //
@@ -159,9 +159,7 @@ func runOracle(db *engine.Database, sql string) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := engine.NewExecutor(db)
-	ex.SetHashJoin(false)
-	return ex.Select(sel)
+	return engine.NewExecutor(db).Select(sel)
 }
 
 // runRowLeg executes a cached plan on a columnar-disabled executor — the

@@ -7,12 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"fisql/internal/sqlparse"
 )
 
 // joinDB builds a fixture with NULL keys, duplicate keys and mixed-type
-// keys for the hash-join edge cases.
+// keys for the join edge cases.
 func joinDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase("join_edge")
@@ -30,37 +28,20 @@ INSERT INTO mixed VALUES ('2', 'two'), ('true', 'yes'), ('5', 'five');
 	return db
 }
 
-// assertHashNestedAgree runs sql with the hash path enabled and disabled and
-// requires byte-identical formatted results (row order included).
-func assertHashNestedAgree(t *testing.T, db *Database, sql string) *Result {
-	t.Helper()
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	nested := NewExecutor(db)
-	nested.SetHashJoin(false)
-	nRes, nErr := nested.Select(sel)
-	hRes, hErr := NewExecutor(db).Select(sel)
-	if (nErr == nil) != (hErr == nil) || (nErr != nil && nErr.Error() != hErr.Error()) {
-		t.Fatalf("query %q: nested err %v, hash err %v", sql, nErr, hErr)
-	}
-	if nErr != nil {
-		return nil
-	}
-	if nRes.Format() != hRes.Format() {
-		t.Fatalf("query %q:\nnested:\n%s\nhash:\n%s", sql, nRes.Format(), hRes.Format())
-	}
-	return hRes
-}
+// The TestHashJoin tests run on every leg (runLegs): Run's vectorized hash
+// join, where the statement qualifies, is held to the nested loop of the
+// columnar-off and Select legs.
 
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	db := joinDB(t)
-	res := assertHashNestedAgree(t, db, "SELECT l.tag, r.val FROM l JOIN r ON l.id = r.id")
+	res, err := runLegs(t, db, "SELECT l.tag, r.val FROM l JOIN r ON l.id = r.id")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// l NULL row and r NULL row must both be absent: 1-v, plus 2-{x,z} for
 	// each of the two left id=2 rows.
 	if len(res.Rows) != 5 {
-		t.Fatalf("expected 6 rows (NULL keys dropped), got %d:\n%s", len(res.Rows), res.Format())
+		t.Fatalf("expected 5 rows (NULL keys dropped), got %d:\n%s", len(res.Rows), res.Format())
 	}
 	for _, row := range res.Rows {
 		if row[0].String() == "c" || row[1].String() == "y" {
@@ -71,10 +52,13 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 
 func TestHashJoinLeftJoinNullExtension(t *testing.T) {
 	db := joinDB(t)
-	res := assertHashNestedAgree(t, db, "SELECT l.tag, r.val FROM l LEFT JOIN r ON l.id = r.id")
+	res, err := runLegs(t, db, "SELECT l.tag, r.val FROM l LEFT JOIN r ON l.id = r.id")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Unmatched left rows (id NULL and id 5) null-extend, in left order.
 	if len(res.Rows) != 7 {
-		t.Fatalf("expected 8 rows, got %d:\n%s", len(res.Rows), res.Format())
+		t.Fatalf("expected 7 rows, got %d:\n%s", len(res.Rows), res.Format())
 	}
 	nulls := 0
 	for _, row := range res.Rows {
@@ -90,19 +74,25 @@ func TestHashJoinLeftJoinNullExtension(t *testing.T) {
 func TestHashJoinDuplicateKeys(t *testing.T) {
 	db := joinDB(t)
 	// Two left id=2 rows each match two right id=2 rows.
-	res := assertHashNestedAgree(t, db, "SELECT l.tag, r.val FROM l JOIN r ON l.id = r.id WHERE l.id = 2")
+	res, err := runLegs(t, db, "SELECT l.tag, r.val FROM l JOIN r ON l.id = r.id WHERE l.id = 2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("expected 4 rows from the 2x2 duplicate keys, got %d", len(res.Rows))
 	}
 }
 
 // TestHashJoinMixedTypeDomainFallsBack: Compare treats Text("5") equal to
-// Int(5), which a string-keyed hash table cannot reproduce. The executor
-// must detect the mixed domain and take the nested loop, keeping results
-// identical.
+// Int(5), which a string-keyed hash table cannot reproduce. The vectorized
+// join must detect the mixed domain and rerun on the row executor's nested
+// loop, keeping results identical.
 func TestHashJoinMixedTypeDomainFallsBack(t *testing.T) {
 	db := joinDB(t)
-	res := assertHashNestedAgree(t, db, "SELECT l.tag, mixed.note FROM l JOIN mixed ON l.id = mixed.k")
+	res, err := runLegs(t, db, "SELECT l.tag, mixed.note FROM l JOIN mixed ON l.id = mixed.k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Int 2 (twice), 2 and 5 compare equal to Text '2' and '5'.
 	if len(res.Rows) != 3 {
 		t.Fatalf("expected 3 cross-type matches, got %d:\n%s", len(res.Rows), res.Format())
@@ -116,33 +106,49 @@ func TestHashJoinAliasShadowing(t *testing.T) {
 	queries := []string{
 		// Inner s shadows outer s inside the EXISTS join.
 		"SELECT s.name FROM singer AS s WHERE EXISTS (SELECT 1 FROM concert AS s JOIN singer_in_concert AS sc ON s.concert_id = sc.concert_id WHERE sc.singer_id = 3)",
-		// Correlated reference from the ON clause to the outer row keeps the
-		// nested loop (the key is not a two-sided column equality).
+		// The ON clause references the outer row.
 		"SELECT s.name FROM singer AS s WHERE EXISTS (SELECT 1 FROM singer_in_concert AS sc JOIN concert AS c ON c.concert_id = sc.concert_id AND sc.singer_id = s.id)",
 	}
 	for _, q := range queries {
-		assertHashNestedAgree(t, db, q)
+		if _, err := runLegs(t, db, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 	}
 }
 
 func TestHashJoinPreservesRowOrderUnderLimit(t *testing.T) {
 	db := testDB(t)
 	// No ORDER BY: LIMIT keeps the first rows in join emission order, which
-	// must be identical on both paths.
-	assertHashNestedAgree(t, db,
-		"SELECT s.name, sc.concert_id FROM singer AS s JOIN singer_in_concert AS sc ON s.id = sc.singer_id LIMIT 4")
+	// must be identical on every leg.
+	sql := "SELECT s.name, sc.concert_id FROM singer AS s JOIN singer_in_concert AS sc ON s.id = sc.singer_id LIMIT 4"
+	if _, err := runLegs(t, db, sql); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestHashJoinThreeWay: a multi-join does not qualify for the vectorized
+// path, so every leg runs it as nested loops.
 func TestHashJoinThreeWay(t *testing.T) {
 	db := testDB(t)
-	assertHashNestedAgree(t, db,
-		"SELECT s.name, c.concert_name FROM singer AS s JOIN singer_in_concert AS sc ON s.id = sc.singer_id JOIN concert AS c ON sc.concert_id = c.concert_id")
+	sql := "SELECT s.name, c.concert_name FROM singer AS s JOIN singer_in_concert AS sc ON s.id = sc.singer_id JOIN concert AS c ON sc.concert_id = c.concert_id"
+	if _, err := runLegs(t, db, sql); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestHashJoinResidualConjuncts: an ON clause with more than one conjunct
+// does not qualify for the vectorized path, so every leg runs it as a
+// nested loop.
 func TestHashJoinResidualConjuncts(t *testing.T) {
 	db := testDB(t)
-	assertHashNestedAgree(t, db,
-		"SELECT s.name, c.concert_name FROM singer AS s JOIN singer_in_concert AS sc ON s.id = sc.singer_id AND sc.concert_id > 2 AND s.age < 50")
+	sql := "SELECT s.name, sc.concert_id FROM singer AS s JOIN singer_in_concert AS sc ON s.id = sc.singer_id AND sc.concert_id > 2 AND s.age < 50"
+	res, err := runLegs(t, db, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("expected 4 rows, got %d:\n%s", len(res.Rows), res.Format())
+	}
 }
 
 // TestScanRowCap: maxRows applies to base-table scans and subquery
@@ -212,7 +218,7 @@ func firstColumnInts(res *Result) []int64 {
 }
 
 // leftBuildDB holds a five-row l and a twelve-row r in which seven rows
-// share the key 1, so the row path builds its table on l.
+// share the key 1.
 func leftBuildDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase("left_build")
@@ -240,30 +246,33 @@ func TestHashJoinLeftBuildOrder(t *testing.T) {
 		"SELECT l.id, r.v FROM l LEFT JOIN r ON r.k = l.k AND r.v <> 'r4'",
 		"SELECT l.id, r.v FROM l JOIN r ON l.k = r.k",
 	} {
-		// Select, one of the legs, is then held to the nested loop.
 		if _, err := runLegs(t, db, sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		assertHashNestedAgree(t, db, sql)
 	}
-	// Past maxRows the left-built pairs bail to the nested loop, which
-	// reports the error; under the cap the hash path answers itself. The cap
-	// stays above r's twelve rows, which the scan checks first.
+	// Past maxRows the vectorized pairs bail to the nested loop, which
+	// reports the error; under the cap the vectorized join answers itself.
+	// The cap stays above r's twelve rows, which the scan checks first.
 	sql := "SELECT l.id, r.v FROM l LEFT JOIN r ON l.k = r.k"
-	sel, _ := sqlparse.ParseSelect(sql)
+	p, err := Prepare(db, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, maxRows := range []int{14, 20} {
 		var got [2]string
-		for i, hash := range []bool{true, false} {
+		for i, run := range []func(*Executor) (*Result, error){
+			func(ex *Executor) (*Result, error) { return ex.Run(p) },
+			func(ex *Executor) (*Result, error) { return ex.Select(p.Stmt) },
+		} {
 			ex := NewExecutor(db)
 			ex.maxRows = maxRows
-			ex.SetHashJoin(hash)
-			res, err := ex.Select(sel)
+			res, err := run(ex)
 			if got[i] = fmt.Sprint(err); err == nil {
 				got[i] = res.Format()
 			}
 		}
 		if got[0] != got[1] {
-			t.Errorf("maxRows %d: hash join gave %s, nested loop %s", maxRows, got[0], got[1])
+			t.Errorf("maxRows %d: run gave %s, select %s", maxRows, got[0], got[1])
 		}
 		if want := "join result exceeds 14 rows"; maxRows == 14 && got[0] != want {
 			t.Errorf("maxRows 14: %s, want %q", got[0], want)
@@ -311,10 +320,8 @@ func TestInSubqueryEdges(t *testing.T) {
 }
 
 // ----------------------------------------------------------------------------
-// Benchmarks: a 10 000 × 2 000 key join, on the vectorized path (one ON
-// conjunct) and on the row path (a residual conjunct, the 2 000-row side on
-// the left, where the row path builds its table), each against the
-// plan-less Select oracle.
+// Benchmark: a 10 000 × 2 000 key join on the vectorized path, against the
+// plan-less Select oracle's nested loop.
 
 func benchJoinDB(b *testing.B) *Database {
 	b.Helper()
@@ -335,8 +342,4 @@ func benchJoinDB(b *testing.B) *Database {
 
 func BenchmarkHashJoinVec(b *testing.B) {
 	benchRunVsSelect(b, benchJoinDB(b), "SELECT f.id, dim.name FROM f JOIN dim ON f.k = dim.k")
-}
-
-func BenchmarkHashJoinRow(b *testing.B) {
-	benchRunVsSelect(b, benchJoinDB(b), "SELECT dim.name, f.id FROM dim JOIN f ON dim.k = f.k AND f.id >= 0")
 }

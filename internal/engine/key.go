@@ -15,8 +15,8 @@ import (
 // being one key. Text is exact and case-sensitive. appendKey spells a key out
 // as bytes; keyIndex numbers keys.
 //
-// Join equivalence — the hash equi-join of both executors and IN over a
-// closed subquery. It is Compare equality, where NULL never matches. It has a
+// Join equivalence — the vectorized hash equi-join (buildPairs) and IN over
+// a closed subquery. It is Compare equality, where NULL never matches. It has a
 // hash only on a homogeneous keyDomain: on numbers the key is the float64
 // value with -0 folded into 0 (Compare compares int and float as float64);
 // on text it is the exact string (Compare ties only identical strings).

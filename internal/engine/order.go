@@ -295,7 +295,7 @@ func (c *orderCol) done() {
 // typedOrderCols returns the key columns in typed form, or nil unless every
 // column's non-NULL keys lie in one domain on which Compare is a total
 // preorder: all numeric (int / float / bool, NaN excluded — it compares
-// equal to every number) or all text. The gate is the hash join's (see
+// equal to every number) or all text. The gate is eqTable's (see
 // keyDomain) except that bool counts as a number, which is how Compare
 // orders it against the only types a numeric column lets it meet.
 func typedOrderCols(order []sqlast.OrderItem, keys []Value, n int) []orderCol {

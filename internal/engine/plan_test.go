@@ -9,10 +9,9 @@ import (
 	"fisql/internal/sqlparse"
 )
 
-// runBothWays executes sql through the planned path (Prepare+Run with hash
-// joins enabled) and through the seed interpreter (unplanned Select with
-// hash joins disabled) and requires identical results and identical error
-// text.
+// runBothWays executes sql through the planned path (Prepare+Run) and
+// through the seed interpreter (unplanned Select) and requires identical
+// results and identical error text.
 func runBothWays(t *testing.T, db *Database, sql string) (*Result, error) {
 	t.Helper()
 	var refRes *Result
@@ -20,9 +19,7 @@ func runBothWays(t *testing.T, db *Database, sql string) (*Result, error) {
 	if sel, err := sqlparse.ParseSelect(sql); err != nil {
 		refErr = err
 	} else {
-		ref := NewExecutor(db)
-		ref.SetHashJoin(false)
-		refRes, refErr = ref.Select(sel)
+		refRes, refErr = NewExecutor(db).Select(sel)
 	}
 	plan, err := Prepare(db, sql)
 	var gotRes *Result

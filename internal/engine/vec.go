@@ -284,7 +284,7 @@ func (v *vecExec) env(i int) *rowEnv {
 // the row path's emission order: left-major, right-source order per left
 // row, LEFT JOIN null rows for matchless left rows. NULL keys never match.
 // false means bail (a key domain without a hash, or a result larger than
-// maxRows — the row executor owns the error/fallback semantics there).
+// maxRows — the row executor's nested loop owns the error there).
 func (v *vecExec) buildPairs() bool {
 	vp := v.vp
 	d1 := v.ct1.cols[vp.leftCol].kind.domain()
