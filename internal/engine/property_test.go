@@ -295,16 +295,32 @@ func (g *semGen) pred(depth int) string {
 
 func (g *semGen) agg() string { return g.pick(semAggs) + "(" + g.col() + ")" }
 
+// joinAgg draws an aggregate over a column of either side of t JOIN u.
+func (g *semGen) joinAgg() string {
+	return g.pick(semAggs) + "(" + g.pick([]string{"a", "b", "c", "id", "u.uid", "u.k", "u.w"}) + ")"
+}
+
 // stmt draws one SELECT over t: a plain filter, DISTINCT, GROUP BY with
 // aggregates, ORDER BY with LIMIT / OFFSET, whole-table aggregates,
 // negation and ABS, a column compared with a closed scalar subquery on
-// either side, a column [NOT] IN a closed subquery, or ORDER BY a column
-// the select list leaves out.
+// either side, a column [NOT] IN a closed subquery, ORDER BY a column the
+// select list leaves out, or t INNER or LEFT JOIN u on t.a = u.k, grouped
+// on a bare key of either side or not.
 func (g *semGen) stmt() string {
-	shape := g.intn(10)
+	shape := g.intn(12)
 	x, y := g.col(), g.col()
 	where := " FROM t WHERE " + g.pred(0)
 	switch shape {
+	case 10, 11:
+		from := " FROM t" + g.pick([]string{" JOIN ", " LEFT JOIN "}) + "u ON t.a = u.k"
+		if g.intn(2) == 0 {
+			from += " WHERE " + g.pred(0)
+		}
+		if shape == 11 {
+			return "SELECT t.id, t." + x + ", u.*" + from
+		}
+		key := g.pick([]string{"t.a", "t." + x, "u.k", "u.w"})
+		return "SELECT " + key + ", COUNT(*), " + g.joinAgg() + from + " GROUP BY " + key
 	case 0:
 		return "SELECT id, a, b, c" + where
 	case 1:
@@ -340,9 +356,12 @@ func (g *semGen) stmt() string {
 }
 
 // semCase decodes one case: a table t(id, a, b, c) of 0–300 rows whose
-// columns a, b and c each draw from one of semPools (NULL one time in
-// eight), and one statement over it. The row count is capped by the bytes
-// left after the statement, three a row.
+// columns a, b and c each draw from one of semPools, a table u(uid, k, w)
+// of 0–31 rows whose join key k draws from a's pool and whose w draws from
+// a pool of its own (NULL one time in eight everywhere, so k holds NULL
+// keys and a LEFT JOIN's pad rows meet w's own NULLs), and one statement
+// over them. The row counts are capped by the bytes left after the
+// statement, two a row of u, then three a row of t.
 func semCase(data []byte) (*Database, string) {
 	g := &semGen{data: data}
 	nrows := (g.intn(256) | g.intn(256)<<8) % 301
@@ -352,20 +371,28 @@ func semCase(data []byte) (*Database, string) {
 		pools[i] = semPools[g.intn(len(semPools))]
 		tbl.Columns = append(tbl.Columns, Column{Name: name, Type: pools[i][0].T})
 	}
+	wpool := semPools[g.intn(len(semPools))]
+	u := &Table{Name: "u", Columns: []Column{{Name: "uid", Type: TypeInt}, {Name: "k", Type: pools[0][0].T}, {Name: "w", Type: wpool[0].T}}}
 	sql := g.stmt()
+	cell := func(pool []Value) Value {
+		if b := g.intn(256); b%8 != 0 {
+			return pool[b/8%len(pool)]
+		}
+		return Null()
+	}
+	for i, n := 0, g.intn(32); i < n && len(g.data) >= 2; i++ {
+		u.Rows = append(u.Rows, []Value{Int(int64(i)), cell(pools[0]), cell(wpool)})
+	}
 	for i := 0; i < nrows && len(g.data) >= len(pools); i++ {
 		row := []Value{Int(int64(i))}
 		for _, pool := range pools {
-			if b := g.intn(256); b%8 == 0 {
-				row = append(row, Null())
-			} else {
-				row = append(row, pool[b/8%len(pool)])
-			}
+			row = append(row, cell(pool))
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
 	db := NewDatabase("sem")
 	db.AddTable(tbl)
+	db.AddTable(u)
 	return db, sql
 }
 
