@@ -4,6 +4,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -153,4 +154,71 @@ func TestRunAllocsFlatInKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWarmJoinAndGroupAllocsFlatInKeys checks that a warm equi-join and a
+// warm GROUP BY on one bare column allocate the same count over 16 rows and
+// over 8 192, on an int key and on a text key: the join table and the
+// grouping codes are built once per loaded table, on the first Run, so a
+// warm Run grows no key map.
+func TestWarmJoinAndGroupAllocsFlatInKeys(t *testing.T) {
+	db := allocsDB(t)
+	for _, sql := range []string{
+		"SELECT a.id, b.id FROM k%[1]d AS a JOIN k%[1]d AS b ON a.k = b.k",
+		"SELECT a.id, b.id FROM k%[1]d AS a JOIN k%[1]d AS b ON a.s = b.s",
+		"SELECT k, COUNT(*) FROM k%d GROUP BY k",
+		"SELECT s, COUNT(*) FROM k%d GROUP BY s",
+	} {
+		run := func(n int) float64 { return runAllocs(t, db, fmt.Sprintf(sql, n), true, n) }
+		if small, large := run(16), run(8192); small != large {
+			t.Errorf("%s: %.0f allocations, %.0f over 8 192 rows", fmt.Sprintf(sql, 16), small, large)
+		}
+	}
+}
+
+// TestNarrowGroupAllocsFlatInColumnKeys checks that a GROUP BY whose WHERE
+// keeps four rows allocates no more bytes for its grouping over a column of
+// 8 192 distinct values than over one of 16: numbering the groups may cost
+// in proportion to the selection, never to the column's distinct values.
+// The grouping's bytes are the statement's less those of the same scan
+// without GROUP BY, whose WHERE mask is one byte a table row.
+func TestNarrowGroupAllocsFlatInColumnKeys(t *testing.T) {
+	const slack = 64 // bytes per Run, for the runtime's own noise
+	db := allocsDB(t)
+	bytes := func(sql string) int64 {
+		runAllocs(t, db, sql, true, 4)
+		p, err := Prepare(db, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return bytesPerRun(t, NewExecutor(db), p)
+	}
+	for _, col := range []string{"k", "s"} {
+		grouping := func(n int) int64 {
+			scan := fmt.Sprintf("SELECT %s FROM k%d WHERE id < 4", col, n)
+			return bytes(scan+" GROUP BY "+col) - bytes(scan)
+		}
+		if small, large := grouping(16), grouping(8192); large > small+slack {
+			t.Errorf("GROUP BY %s under WHERE id < 4: grouping allocates %d bytes a Run over 16 keys, %d over 8 192", col, small, large)
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one warm Run of p allocates, averaged
+// over 50 Runs.
+func bytesPerRun(t *testing.T, ex *Executor, p *Plan) int64 {
+	t.Helper()
+	const runs = 50
+	if _, err := ex.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := ex.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / runs
 }

@@ -1258,7 +1258,7 @@ func (ex *Executor) gather(sel *sqlast.SelectStmt, outer *rowEnv) (candidates, [
 	if len(envs) > 0 {
 		sample = envs[0]
 	}
-	cols := ex.outputColumns(sel, sample)
+	cols := outputColumns(ex.db, sel, sample)
 	if !aggregated(sel) {
 		return candidates{envs: envs}, cols, nil
 	}
@@ -1527,9 +1527,9 @@ func (ex *Executor) projectRow(row []Value, sel *sqlast.SelectStmt, env *rowEnv,
 	return row, nil
 }
 
-// outputColumns derives the result header from the first row that passed
-// WHERE, if any.
-func (ex *Executor) outputColumns(sel *sqlast.SelectStmt, sample *rowEnv) []string {
+// outputColumns derives the result header from the bindings of the first
+// row that passed WHERE, if any, and from db's catalog otherwise.
+func outputColumns(db *Database, sel *sqlast.SelectStmt, sample *rowEnv) []string {
 	var cols []string
 	for _, it := range sel.Items {
 		switch {
@@ -1538,7 +1538,7 @@ func (ex *Executor) outputColumns(sel *sqlast.SelectStmt, sample *rowEnv) []stri
 				for _, b := range sample.bindings {
 					cols = append(cols, b.cols...)
 				}
-			} else if schema := ex.starColumns(sel); schema != nil {
+			} else if schema := starColumns(db, sel); schema != nil {
 				cols = append(cols, schema...)
 			} else {
 				cols = append(cols, "*")
@@ -1554,7 +1554,7 @@ func (ex *Executor) outputColumns(sel *sqlast.SelectStmt, sample *rowEnv) []stri
 				}
 			}
 			if !added {
-				if t, ok := ex.db.Table(it.TableStar); ok {
+				if t, ok := db.Table(it.TableStar); ok {
 					for _, c := range t.Columns {
 						cols = append(cols, c.Name)
 					}
@@ -1577,13 +1577,13 @@ func (ex *Executor) outputColumns(sel *sqlast.SelectStmt, sample *rowEnv) []stri
 
 // starColumns derives the SELECT * header from the catalog when the row set
 // is empty (so headers stay stable regardless of data).
-func (ex *Executor) starColumns(sel *sqlast.SelectStmt) []string {
+func starColumns(db *Database, sel *sqlast.SelectStmt) []string {
 	if sel.From == nil || sel.From.First.Name == "" {
 		return nil
 	}
 	var cols []string
 	add := func(name string) bool {
-		t, ok := ex.db.Table(name)
+		t, ok := db.Table(name)
 		if !ok {
 			return false
 		}

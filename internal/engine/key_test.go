@@ -118,6 +118,52 @@ func checkKeyIndexCase(t *testing.T, data []byte) {
 	}
 }
 
+// checkColCodesCase lays the values of the decoded keys out as one column
+// and requires its codes to be keyIndex.id1's ids over the same values, in
+// the same first-seen order, and groupByCodes' numbering of every row and of
+// every other row to be a fresh keyIndex's over the selected values, where
+// it takes the selection.
+func checkColCodesCase(t *testing.T, data []byte) {
+	t.Helper()
+	tbl := &Table{Name: "c", Columns: []Column{{Name: "v"}}}
+	for _, key := range keyCase(data) {
+		for _, v := range key {
+			tbl.Rows = append(tbl.Rows, []Value{v})
+		}
+	}
+	ct := buildColTable(tbl)
+	c := ct.colCodes(0)
+	var idx keyIndex
+	for i, row := range tbl.Rows {
+		if id, _ := idx.id1(row[0]); c.ids[i] != id {
+			t.Fatalf("column %v: row %d has code %d, keyIndex says %d", tbl.Rows, i, c.ids[i], id)
+		}
+	}
+	if c.n != idx.n || c.null != idx.null-1 {
+		t.Fatalf("column %v: %d codes, NULL %d; keyIndex has %d keys, NULL %d", tbl.Rows, c.n, c.null, idx.n, idx.null-1)
+	}
+	v := &vecExec{vp: &vecPlan{t1: tbl}, ct1: ct}
+	for step := 1; step <= 2; step++ {
+		var sel []int32
+		for i := 0; i < len(tbl.Rows); i += step {
+			sel = append(sel, int32(i))
+		}
+		gid, ng := v.groupByCodes(sel, colSlot{})
+		if gid == nil {
+			continue
+		}
+		var fresh keyIndex
+		for n, i := range sel {
+			if id, _ := fresh.id1(tbl.Rows[i][0]); gid[n] != id {
+				t.Fatalf("column %v, rows %v: row %d in group %d, keyIndex says %d", tbl.Rows, sel, i, gid[n], id)
+			}
+		}
+		if ng != int(fresh.n) {
+			t.Fatalf("column %v, rows %v: %d groups, keyIndex has %d keys", tbl.Rows, sel, ng, fresh.n)
+		}
+	}
+}
+
 // eqPools are homogeneous domains for the equality table: numbers with
 // int / float ties, both zeros, the infinities and ints that share a
 // float64; text with case-fold ties, which Compare keeps apart.
@@ -174,9 +220,9 @@ func checkEqTableCase(t *testing.T, data []byte) {
 }
 
 // TestKeyIndexMatchesAppendKey checks keyIndex and appendKey against the
-// grouping equivalence, and the equality table against Equal, on random
-// inputs; half of them draw from a few values only, for long runs of
-// repeated keys.
+// grouping equivalence, a column's grouping codes against keyIndex, and the
+// equality table against Equal, on random inputs; half of them draw from a
+// few values only, for long runs of repeated keys.
 func TestKeyIndexMatchesAppendKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for iter := 0; iter < 3000; iter++ {
@@ -188,6 +234,7 @@ func TestKeyIndexMatchesAppendKey(t *testing.T) {
 			}
 		}
 		checkKeyIndexCase(t, data)
+		checkColCodesCase(t, data)
 		checkEqTableCase(t, data)
 	}
 }
@@ -206,6 +253,7 @@ func FuzzKeyIndex(f *testing.F) {
 			t.Skip()
 		}
 		checkKeyIndexCase(t, data)
+		checkColCodesCase(t, data)
 		checkEqTableCase(t, data)
 	})
 }

@@ -4,6 +4,8 @@ import "strings"
 
 // Result is the output of executing a SELECT.
 type Result struct {
+	// Columns is the header. Results of one plan may share it, so it must
+	// not be written.
 	Columns []string
 	Rows    [][]Value
 	// Ordered is true when the query had an ORDER BY, in which case row

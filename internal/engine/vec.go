@@ -68,6 +68,10 @@ type vecPlan struct {
 	// group.
 	aggregated bool
 	aggNodes   []*sqlast.FuncCall
+
+	// header is the result header over a non-empty selection, which every
+	// Run of the plan shares.
+	header []string
 }
 
 // buildVecPlan qualifies sel, p's statement or one of its closed
@@ -138,6 +142,12 @@ func buildVecPlan(p *Plan, sel *sqlast.SelectStmt) *vecPlan {
 		}
 		vp.cols2 = p.db.colTable(t2).names
 	}
+
+	binds := []binding{{alias: vp.alias1, cols: vp.cols1}}
+	if vp.t2 != nil {
+		binds = append(binds, binding{alias: vp.alias2, cols: vp.cols2})
+	}
+	vp.header = outputColumns(p.db, sel, &rowEnv{bindings: binds})
 
 	vp.aggregated = aggregated(sel)
 	if vp.aggregated {
@@ -296,9 +306,9 @@ func (v *vecExec) buildPairs() bool {
 	case !dom.hashable():
 		return false
 	}
-	var ht eqTable
+	var ht *eqTable
 	if dom != domNone {
-		ht = newEqTable(dom, len(vp.t2.Rows), func(ri int) Value { return vp.t2.Rows[ri][vp.rightCol] })
+		ht = v.ct2.eqTable(vp.rightCol)
 	}
 	leftJoin := vp.joinType == sqlast.JoinLeft
 	pairs := make([]vecPair, 0, len(vp.t1.Rows))
@@ -328,11 +338,10 @@ func (v *vecExec) run() (candidates, []string, bool) {
 	if !ok {
 		return candidates{}, nil, false
 	}
-	var sample *rowEnv
-	if len(selIdx) > 0 {
-		sample = v.env(int(selIdx[0]))
+	cols := v.vp.header
+	if len(selIdx) == 0 {
+		cols = outputColumns(v.ex.db, v.stmt, nil)
 	}
-	cols := v.ex.outputColumns(v.stmt, sample)
 	if !v.vp.aggregated {
 		return candidates{vec: v, idx: selIdx}, cols, true
 	}
@@ -1025,9 +1034,10 @@ func (v *vecExec) inSubMask(ci int, x *sqlast.InExpr) ([]int8, bool, error) {
 // Grouping
 
 // groupSel partitions the selected context rows by the GROUP BY key,
-// mirroring groupRows: a group id per row from one keyIndex over the key
-// values, then one partition; groups in first-seen order, first row as
-// representative. A bare column key is
+// mirroring groupRows: a group id per row, numbering the keys in first-seen
+// order, then one partition; first row as representative. One bare column
+// key takes its ids from the column's codes (groupByCodes) when that is
+// cheap; otherwise one keyIndex numbers the key values, a bare column key
 // gathered from its slot, any other evaluated per row. rep == -1 marks the
 // empty global group.
 func (v *vecExec) groupSel(selIdx []int32) (groups parts[int32], reps []int32, ok bool) {
@@ -1043,29 +1053,78 @@ func (v *vecExec) groupSel(selIdx []int32) (groups parts[int32], reps []int32, o
 	for k, g := range v.stmt.GroupBy {
 		slots[k], bare[k] = v.argSlot(g)
 	}
-	var idx keyIndex
-	key := make([]Value, len(v.stmt.GroupBy))
-	gid := make([]int32, len(selIdx))
-	for n, i := range selIdx {
-		for k, g := range v.stmt.GroupBy {
-			if bare[k] {
-				key[k] = v.gatherSlot(i, slots[k])
-				continue
-			}
-			val, err := v.ex.eval(g, v.env(int(i)), nil)
-			if err != nil {
-				return groups, nil, false
-			}
-			key[k] = val
-		}
-		gid[n], _ = idx.id(key)
+	var gid []int32
+	var ng int
+	if len(slots) == 1 && bare[0] {
+		gid, ng = v.groupByCodes(selIdx, slots[0])
 	}
-	groups = partition(selIdx, gid, int(idx.n))
+	if gid == nil {
+		var idx keyIndex
+		key := make([]Value, len(v.stmt.GroupBy))
+		gid = make([]int32, len(selIdx))
+		for n, i := range selIdx {
+			for k, g := range v.stmt.GroupBy {
+				if bare[k] {
+					key[k] = v.gatherSlot(i, slots[k])
+					continue
+				}
+				val, err := v.ex.eval(g, v.env(int(i)), nil)
+				if err != nil {
+					return groups, nil, false
+				}
+				key[k] = val
+			}
+			gid[n], _ = idx.id(key)
+		}
+		ng = int(idx.n)
+	}
+	groups = partition(selIdx, gid, ng)
 	reps = make([]int32, groups.len())
 	for g := range reps {
 		reps[g] = groups.at(g)[0]
 	}
 	return groups, reps, true
+}
+
+// groupByCodes numbers the groups of one bare column key from the column's
+// codes. They are keyIndex's ids over the whole column, so renumbering them
+// in first-seen order over the selection gives the ids one keyIndex over the
+// selected values would. A LEFT JOIN pad row's NULL takes the column's NULL
+// code, or a slot of its own when the column holds no NULL. The renumbering
+// runs through a dense slice with one entry per code, so it is taken only
+// when the column has at most twice as many keys as the selection has rows;
+// gid == nil means the caller numbers the keys itself.
+func (v *vecExec) groupByCodes(selIdx []int32, slot colSlot) (gid []int32, ng int) {
+	ct := v.ct1
+	if slot.binding == 1 {
+		ct = v.ct2
+	}
+	c := ct.colCodes(slot.col)
+	if int(c.n) > 2*len(selIdx) {
+		return nil, 0
+	}
+	pad := c.null
+	if pad < 0 {
+		pad = c.n
+	}
+	remap := make([]int32, c.n+1) // code → group id + 1
+	gid = make([]int32, len(selIdx))
+	for n, i := range selIdx {
+		code := pad
+		if v.vp.t2 == nil {
+			code = c.ids[i]
+		} else if p := v.pairs[i]; slot.binding == 0 {
+			code = c.ids[p.l]
+		} else if p.r >= 0 {
+			code = c.ids[p.r]
+		}
+		if remap[code] == 0 {
+			ng++
+			remap[code] = int32(ng)
+		}
+		gid[n] = remap[code] - 1
+	}
+	return gid, ng
 }
 
 // ----------------------------------------------------------------------------
