@@ -13,7 +13,9 @@ import (
 // and an integral Float in [-2^63, 2^63) are keyed by their int64 value, so
 // -0 ≡ 0 and 1 ≡ 1.0 ≡ true. Any other Float is keyed by its bits, every NaN
 // being one key. Text is exact and case-sensitive. appendKey spells a key out
-// as bytes; keyIndex numbers keys.
+// as bytes; keyIndex numbers keys. A column's grouping codes (colCodes,
+// columnar.go) are one keyIndex's numbers over the whole column, built once
+// per loaded table.
 //
 // Join equivalence — the vectorized hash equi-join (buildPairs) and IN over
 // a closed subquery. It is Compare equality, where NULL never matches. It has a
@@ -23,7 +25,9 @@ import (
 // Bool (it equals numbers and text alike), NaN (it equals every number) and
 // mixed domains have no hash, and the sites fall back to Compare. eqTable is
 // the hash table: it numbers the keys and partitions the rows by key, the
-// same partition that lays out GROUP BY's groups.
+// same partition that lays out GROUP BY's groups. The join's tables are
+// built once per loaded table and column (colTable.eqTable), IN's once per
+// Run.
 
 // intKey returns the int64 that keys v under the grouping equivalence, if
 // any. The range test comes first: converting an out-of-range float to int64
