@@ -42,14 +42,10 @@ type Database struct {
 	tables map[string]*Table
 	order  []string
 
-	// scanMu guards scanCache, the lazily built shared row environments
-	// for base-table scans (see scanEnvs).
-	scanMu    sync.Mutex
-	scanCache map[scanKey][]*rowEnv
-
 	// colMu guards colCache, the lazily built columnar projections of each
-	// table (see columnar.go). Same staleness contract as scanCache: rows
-	// can only be appended, so a length mismatch triggers a rebuild.
+	// table (see columnar.go). The supported DDL surface can only append
+	// rows, so a length mismatch is the complete staleness signal and
+	// triggers a rebuild.
 	colMu    sync.Mutex
 	colCache map[*Table]*colTable
 
@@ -96,44 +92,6 @@ func (db *Database) ResetStats() {
 	db.orderTyped.Store(0)
 	db.orderGeneric.Store(0)
 	db.orderRows.Store(0)
-}
-
-type scanKey struct {
-	t     *Table
-	alias string
-}
-
-// scanEnvs returns shared, read-only row environments for scanning t under
-// the given lower-cased alias with no outer scope. They are built once per
-// (table, alias) and reused by every query and executor: callers copy the
-// returned pointer slice before compacting it and never mutate the
-// environments themselves. The supported DDL surface can only append rows,
-// so a length mismatch is the complete staleness signal and triggers a
-// rebuild.
-func (db *Database) scanEnvs(t *Table, alias string) []*rowEnv {
-	key := scanKey{t: t, alias: alias}
-	db.scanMu.Lock()
-	defer db.scanMu.Unlock()
-	if envs, ok := db.scanCache[key]; ok && len(envs) == len(t.Rows) {
-		return envs
-	}
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = c.Name
-	}
-	envs := make([]*rowEnv, len(t.Rows))
-	envStore := make([]rowEnv, len(t.Rows))
-	bindStore := make([]binding, len(t.Rows))
-	for i, r := range t.Rows {
-		bindStore[i] = binding{alias: alias, cols: cols, vals: r}
-		envStore[i] = rowEnv{bindings: bindStore[i : i+1 : i+1]}
-		envs[i] = &envStore[i]
-	}
-	if db.scanCache == nil {
-		db.scanCache = map[scanKey][]*rowEnv{}
-	}
-	db.scanCache[key] = envs
-	return envs
 }
 
 // NewDatabase returns an empty database.

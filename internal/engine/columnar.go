@@ -74,9 +74,9 @@ func (c *colData) null(i int) bool { return c.nulls != nil && c.nulls[i] }
 // it goes stale with the projection.
 type colTable struct {
 	t *Table
-	// n is the row count the projection was built from; the supported DDL
-	// surface can only append rows, so n != len(t.Rows) is the complete
-	// staleness signal (same contract as Database.scanEnvs).
+	// n is the row count the projection was built from; n != len(t.Rows)
+	// means the table has grown and the projection is stale (see
+	// Database.colMu).
 	n    int
 	cols []colData
 	// names are the table's column names, shared by every vecPlan over it.

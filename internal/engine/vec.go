@@ -24,9 +24,10 @@ import (
 // aggregated, it reads columns: a select list of * and planned columns is
 // copied from Table.Rows into the result arena, and ORDER BY keys that are
 // output columns or planned columns fill the typed key arrays straight from
-// the rows or the table. Everything else evaluates over the environments the
-// row path itself would use: the shared scan environments of a single
-// table, or a scratch environment over each (left, right) pair of a join.
+// the rows or the table. Everything else evaluates over one scratch
+// environment, refilled for each row of a single table or each (left, right)
+// pair of a join with the bindings the row path itself would see. The tail
+// is done with one candidate's environment before it asks for the next.
 // The typed column arrays (columnar.go) feed the masks and the folds, and
 // their kinds give the join keys' domain.
 //
@@ -207,15 +208,14 @@ type vecExec struct {
 	ct2  *colTable
 	n    int // context rows: len(t1.Rows) or len(pairs)
 
-	// Single-table: the database's shared scan environments (the very same
-	// envs the row path evaluates over).
-	envs []*rowEnv
-
-	// Join: materialized pair indices plus a reusable scratch environment.
-	pairs        []vecPair
-	rightNulls   []Value
+	// A reusable scratch environment over context row i, with one binding
+	// per table; env fills it.
 	scratch      rowEnv
 	scratchBinds [2]binding
+
+	// Join: materialized pair indices.
+	pairs      []vecPair
+	rightNulls []Value
 
 	// Aggregated: the aggregate slab, group g's value of vp.aggNodes[k] at
 	// g*len(aggNodes)+k (nil when the statement has no aggregate call), and
@@ -244,10 +244,11 @@ func (ex *Executor) runVec(p *Plan, sel *sqlast.SelectStmt, cache *atomic.Pointe
 		return candidates{}, nil, false
 	}
 	v := &vecExec{ex: ex, vp: vp, stmt: sel}
+	v.scratchBinds[0] = binding{alias: vp.alias1, cols: vp.cols1}
 	if vp.t2 == nil {
 		v.n = len(vp.t1.Rows)
 		v.ct1 = ex.db.colTable(vp.t1)
-		v.envs = ex.db.scanEnvs(vp.t1, vp.alias1)
+		v.scratch.bindings = v.scratchBinds[:1]
 	} else {
 		if len(vp.t2.Rows) > ex.maxRows {
 			return candidates{}, nil, false
@@ -262,23 +263,23 @@ func (ex *Executor) runVec(p *Plan, sel *sqlast.SelectStmt, cache *atomic.Pointe
 		for i := range v.rightNulls {
 			v.rightNulls[i] = Null()
 		}
-		v.scratchBinds[0] = binding{alias: vp.alias1, cols: vp.cols1}
 		v.scratchBinds[1] = binding{alias: vp.alias2, cols: vp.cols2}
 		v.scratch.bindings = v.scratchBinds[:]
 	}
 	return v.run()
 }
 
-// env returns the evaluation environment for context row i. Single-table
-// environments are the shared scan envs; join environments reuse one
-// scratch env and are only valid until the next call. Row -1, the
-// representative of the empty global group, has no bindings.
+// env returns the evaluation environment for context row i: the scratch
+// env over the table's row, or over a join's (left, right) pair, valid
+// until the next call. Row -1, the representative of the empty global
+// group, has no bindings.
 func (v *vecExec) env(i int) *rowEnv {
 	if i < 0 {
 		return &rowEnv{}
 	}
 	if v.vp.t2 == nil {
-		return v.envs[i]
+		v.scratchBinds[0].vals = v.vp.t1.Rows[i]
+		return &v.scratch
 	}
 	p := v.pairs[i]
 	v.scratchBinds[0].vals = v.vp.t1.Rows[p.l]
