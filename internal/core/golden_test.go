@@ -16,13 +16,30 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden transcript files")
 
+// recorder keeps the transcript of a client's calls.
+type recorder struct {
+	inner llm.Client
+	calls []recordedCall
+}
+
+// recordedCall is one prompt/response pair.
+type recordedCall struct {
+	Prompt, Response string
+}
+
+func (r *recorder) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	resp, err := r.inner.Complete(ctx, req)
+	r.calls = append(r.calls, recordedCall{Prompt: req.Prompt, Response: resp.Text})
+	return resp, err
+}
+
 // TestGoldenTranscript pins the exact prompt/response exchange of the
 // Figure 4 conversation. Any change to prompt layout, retrieval, routing or
 // repair shows up as a readable diff in testdata/figure4_transcript.txt.
 // Regenerate intentionally with: go test ./internal/core -run Golden -update
 func TestGoldenTranscript(t *testing.T) {
 	ds, sim := world(t)
-	rec := &llm.Recorder{Inner: sim}
+	rec := &recorder{inner: sim}
 	store := rag.NewStore(ds.Demos)
 	asst := &assistant.Assistant{Client: rec, DS: ds, Store: store, K: 4}
 	method := &FISQL{Client: rec, DS: ds, Store: store, K: 4, Routing: true}
@@ -37,7 +54,7 @@ func TestGoldenTranscript(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	for i, call := range rec.Calls {
+	for i, call := range rec.calls {
 		fmt.Fprintf(&sb, "=== call %d ===\n--- prompt ---\n%s\n--- response ---\n%s\n\n",
 			i+1, call.Prompt, call.Response)
 	}
@@ -66,7 +83,7 @@ func TestGoldenTranscript(t *testing.T) {
 // the golden bytes, so the test still means something right after -update.
 func TestGoldenTranscriptShape(t *testing.T) {
 	ds, sim := world(t)
-	rec := &llm.Recorder{Inner: sim}
+	rec := &recorder{inner: sim}
 	store := rag.NewStore(ds.Demos)
 	asst := &assistant.Assistant{Client: rec, DS: ds, Store: store, K: 4}
 	method := &FISQL{Client: rec, DS: ds, Store: store, K: 4, Routing: true}
@@ -80,20 +97,20 @@ func TestGoldenTranscriptShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly three LLM calls: generation, routing, repair.
-	if len(rec.Calls) != 3 {
-		t.Fatalf("calls: %d", len(rec.Calls))
+	if len(rec.calls) != 3 {
+		t.Fatalf("calls: %d", len(rec.calls))
 	}
-	if !strings.Contains(rec.Calls[0].Prompt, "Question: How many audiences were created in January?") {
+	if !strings.Contains(rec.calls[0].Prompt, "Question: How many audiences were created in January?") {
 		t.Error("call 1 should be the generation prompt")
 	}
-	if !strings.HasPrefix(rec.Calls[1].Prompt, "Classify the user feedback") {
+	if !strings.HasPrefix(rec.calls[1].Prompt, "Classify the user feedback") {
 		t.Error("call 2 should be the routing prompt")
 	}
-	if rec.Calls[1].Response != "Edit" {
-		t.Errorf("router said %q", rec.Calls[1].Response)
+	if rec.calls[1].Response != "Edit" {
+		t.Errorf("router said %q", rec.calls[1].Response)
 	}
-	if !strings.Contains(rec.Calls[2].Prompt, "received the following feedback") ||
-		!strings.Contains(rec.Calls[2].Prompt, "Edit updates") {
+	if !strings.Contains(rec.calls[2].Prompt, "received the following feedback") ||
+		!strings.Contains(rec.calls[2].Prompt, "Edit updates") {
 		t.Error("call 3 should be the repair prompt with routed Edit demos")
 	}
 }

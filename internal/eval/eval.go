@@ -94,7 +94,7 @@ func RunGeneration(ctx context.Context, client llm.Client, ds *dataset.Dataset, 
 
 // RunGenerationOpts is RunGeneration with an explicit worker-pool bound.
 // The Client must be safe for concurrent use when opt.Workers != 1
-// (llm.Sim, Metered and Recorder all are).
+// (llm.Sim and Metered are).
 func RunGenerationOpts(ctx context.Context, client llm.Client, ds *dataset.Dataset, k int, opt RunOptions) ([]GenResult, Accuracy, error) {
 	var store *rag.Store
 	if k > 0 {

@@ -3,44 +3,31 @@ package llm
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 )
 
-// Flaky is a fault-injecting Client wrapper for failure testing. It can
-// fail deterministically (every Nth call), fail randomly but reproducibly
-// (a seeded failure rate), and delay calls (fixed latency plus seeded
-// jitter) while honoring context cancellation — the three degradation
-// modes a production LLM API exhibits. All injected failures are Transient,
-// so Retry treats them exactly like real rate-limit or gateway errors.
+// Flaky is a fault-injecting Client wrapper for failure testing. It fails
+// deterministically (every Nth call) and delays calls (a fixed latency)
+// while honoring context cancellation.
 //
-// Safe for concurrent use. The fault schedule is a function of (Seed, call
-// order), so a single-goroutine test replays identically run after run.
+// Safe for concurrent use. The fault schedule is a function of call order,
+// so a single-goroutine test replays identically run after run.
 type Flaky struct {
 	Inner Client
 	// FailEvery makes call numbers divisible by it fail (must be >= 1 to
-	// take effect). Deterministic regardless of Seed.
+	// take effect).
 	FailEvery int
-	// FailRate fails that fraction of calls (0 < FailRate <= 1), drawn
-	// from a source seeded with Seed.
-	FailRate float64
-	// Seed seeds the FailRate and jitter source. Two Flakys with the same
-	// configuration and call order inject the same faults.
-	Seed int64
 	// Latency delays every call before it fails or forwards, modeling an
 	// in-flight request. The wait honors ctx: cancellation during the
 	// delay returns ctx.Err() instead of a response.
 	Latency time.Duration
-	// LatencyJitter adds a seeded-uniform extra delay in [0, LatencyJitter).
-	LatencyJitter time.Duration
 
 	mu    sync.Mutex
 	calls int
-	rng   *rand.Rand
 }
 
-// ErrInjected is the cause inside every failure Flaky injects.
+// ErrInjected is the error Flaky returns for every failure it injects.
 var ErrInjected = errors.New("injected failure")
 
 // Calls reports how many Complete calls the wrapper has seen.
@@ -55,28 +42,16 @@ func (f *Flaky) Complete(ctx context.Context, req Request) (Response, error) {
 	f.mu.Lock()
 	f.calls++
 	fail := f.FailEvery >= 1 && f.calls%f.FailEvery == 0
-	delay := f.Latency
-	if f.FailRate > 0 || f.LatencyJitter > 0 {
-		if f.rng == nil {
-			f.rng = rand.New(rand.NewSource(f.Seed))
-		}
-		if f.FailRate > 0 && f.rng.Float64() < f.FailRate {
-			fail = true
-		}
-		if f.LatencyJitter > 0 {
-			delay += time.Duration(f.rng.Int63n(int64(f.LatencyJitter)))
-		}
-	}
 	f.mu.Unlock()
-	if delay > 0 {
+	if f.Latency > 0 {
 		select {
 		case <-ctx.Done():
 			return Response{}, ctx.Err()
-		case <-time.After(delay):
+		case <-time.After(f.Latency):
 		}
 	}
 	if fail {
-		return Response{}, &Transient{Err: ErrInjected}
+		return Response{}, ErrInjected
 	}
 	return f.Inner.Complete(ctx, req)
 }

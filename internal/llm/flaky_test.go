@@ -7,112 +7,30 @@ import (
 	"time"
 )
 
-// TestRetryBackoffSchedule pins the delay sequence: doubling from
-// BaseDelay, capped at MaxDelay, every delay routed through Jitter.
-func TestRetryBackoffSchedule(t *testing.T) {
-	fail := func(n int) []error {
-		outs := make([]error, n)
-		for i := range outs {
-			outs[i] = &Transient{Err: errors.New("x")}
-		}
-		return outs
-	}
-	var slept []time.Duration
-	record := func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-
-	cases := []struct {
-		name string
-		r    Retry
-		want []time.Duration
-	}{
-		{
-			name: "doubles then caps at MaxDelay",
-			r:    Retry{MaxAttempts: 6, BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond},
-			want: []time.Duration{100 * time.Millisecond, 200 * time.Millisecond,
-				400 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond},
-		},
-		{
-			name: "default cap is DefaultMaxDelay",
-			r:    Retry{MaxAttempts: 8, BaseDelay: 500 * time.Millisecond},
-			want: []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second,
-				2 * time.Second, 2 * time.Second, 2 * time.Second, 2 * time.Second},
-		},
-		{
-			name: "negative MaxDelay disables the cap",
-			r:    Retry{MaxAttempts: 6, BaseDelay: time.Second, MaxDelay: -1},
-			want: []time.Duration{time.Second, 2 * time.Second, 4 * time.Second,
-				8 * time.Second, 16 * time.Second},
-		},
-		{
-			name: "jitter sees the capped delay",
-			r: Retry{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond,
-				MaxDelay: 150 * time.Millisecond,
-				Jitter:   func(d time.Duration) time.Duration { return d + time.Millisecond }},
-			want: []time.Duration{101 * time.Millisecond, 151 * time.Millisecond,
-				151 * time.Millisecond},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			slept = nil
-			tc.r.Inner = &scripted{outcomes: fail(tc.r.MaxAttempts)}
-			tc.r.Sleep = record
-			if _, err := tc.r.Complete(context.Background(), Request{Prompt: "p"}); err == nil {
-				t.Fatal("expected exhaustion error")
-			}
-			if len(slept) != len(tc.want) {
-				t.Fatalf("slept %v, want %v", slept, tc.want)
-			}
-			for i := range slept {
-				if slept[i] != tc.want[i] {
-					t.Errorf("sleep[%d] = %v, want %v", i, slept[i], tc.want[i])
-				}
-			}
-		})
-	}
+// scripted is a test client that counts its calls and always succeeds.
+type scripted struct {
+	calls int
 }
 
-// TestFlakySeededRateIsReproducible checks that two identically seeded
-// wrappers inject the same failure schedule, and a different seed a
-// different one.
-func TestFlakySeededRateIsReproducible(t *testing.T) {
-	schedule := func(seed int64) []bool {
-		f := &Flaky{Inner: &scripted{}, FailRate: 0.4, Seed: seed}
-		out := make([]bool, 50)
-		for i := range out {
-			_, err := f.Complete(context.Background(), Request{Prompt: "p"})
-			out[i] = err != nil
-			if err != nil && !IsTransient(err) {
-				t.Fatal("rate-injected failure should be transient")
+func (s *scripted) Complete(context.Context, Request) (Response, error) {
+	s.calls++
+	return Response{Text: "ok"}, nil
+}
+
+func TestFlakyInjectsDeterministically(t *testing.T) {
+	inner := &scripted{}
+	f := &Flaky{Inner: inner, FailEvery: 3}
+	var failures int
+	for i := 0; i < 9; i++ {
+		if _, err := f.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
+			failures++
+			if !errors.Is(err, ErrInjected) {
+				t.Errorf("injected failure is %v, want ErrInjected", err)
 			}
 		}
-		return out
 	}
-	a, b := schedule(7), schedule(7)
-	failures := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at call %d", i)
-		}
-		if a[i] {
-			failures++
-		}
-	}
-	if failures == 0 || failures == len(a) {
-		t.Errorf("failures = %d of %d; rate 0.4 should fail some but not all", failures, len(a))
-	}
-	c := schedule(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced an identical schedule")
+	if failures != 3 || inner.calls != 6 {
+		t.Errorf("failures: %d, inner calls: %d; want 3 and 6", failures, inner.calls)
 	}
 }
 
@@ -135,9 +53,9 @@ func TestFlakyLatencyHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestFlakyLatencyDelays checks the fixed+jitter delay actually elapses.
+// TestFlakyLatencyDelays checks the fixed delay actually elapses.
 func TestFlakyLatencyDelays(t *testing.T) {
-	f := &Flaky{Inner: &scripted{}, Latency: 10 * time.Millisecond, LatencyJitter: 5 * time.Millisecond, Seed: 1}
+	f := &Flaky{Inner: &scripted{}, Latency: 10 * time.Millisecond}
 	t0 := time.Now()
 	if _, err := f.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
 		t.Fatal(err)
@@ -151,24 +69,28 @@ func TestFlakyLatencyDelays(t *testing.T) {
 }
 
 // TestFlakyConcurrent hammers one wrapper from many goroutines under -race;
-// the total call count must be exact.
+// the total call count and the number of injected failures must be exact.
 func TestFlakyConcurrent(t *testing.T) {
-	f := &Flaky{Inner: &scriptedConcurrent{}, FailRate: 0.3, Seed: 42}
-	done := make(chan struct{})
+	f := &Flaky{Inner: &scriptedConcurrent{}, FailEvery: 4}
 	const goroutines, per = 8, 50
+	failures := make(chan int, goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
-			defer func() { done <- struct{}{} }()
+			n := 0
 			for i := 0; i < per; i++ {
-				_, _ = f.Complete(context.Background(), Request{Prompt: "p"})
+				if _, err := f.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
+					n++
+				}
 			}
+			failures <- n
 		}()
 	}
+	total := 0
 	for g := 0; g < goroutines; g++ {
-		<-done
+		total += <-failures
 	}
-	if f.Calls() != goroutines*per {
-		t.Errorf("Calls() = %d, want %d", f.Calls(), goroutines*per)
+	if f.Calls() != goroutines*per || total != goroutines*per/4 {
+		t.Errorf("Calls() = %d, failures = %d; want %d and %d", f.Calls(), total, goroutines*per, goroutines*per/4)
 	}
 }
 

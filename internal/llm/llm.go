@@ -153,27 +153,3 @@ func (m *Metered) Complete(ctx context.Context, req Request) (Response, error) {
 	}
 	return resp, err
 }
-
-// Recorder keeps a transcript of calls, for debugging and golden tests.
-type Recorder struct {
-	Inner Client
-
-	mu    sync.Mutex
-	Calls []RecordedCall
-}
-
-// RecordedCall is one prompt/response pair.
-type RecordedCall struct {
-	Prompt   string
-	Response string
-	Err      error
-}
-
-// Complete forwards to the inner client and records the exchange.
-func (r *Recorder) Complete(ctx context.Context, req Request) (Response, error) {
-	resp, err := r.Inner.Complete(ctx, req)
-	r.mu.Lock()
-	r.Calls = append(r.Calls, RecordedCall{Prompt: req.Prompt, Response: resp.Text, Err: err})
-	r.mu.Unlock()
-	return resp, err
-}

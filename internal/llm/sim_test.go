@@ -187,12 +187,12 @@ func TestSimTokenAccounting(t *testing.T) {
 	}
 }
 
-func TestMeteredAndRecorder(t *testing.T) {
+func TestMetered(t *testing.T) {
 	s, ds, _ := getSim(t)
 	stats := &Stats{}
-	rec := &Recorder{Inner: &Metered{Inner: s, Stats: stats}}
+	m := &Metered{Inner: s, Stats: stats}
 	p := prompt.NL2SQL(ds.Schemas["concert_singer"], nil, ds.Examples[0].Question)
-	if _, err := rec.Complete(context.Background(), Request{Prompt: p}); err != nil {
+	if _, err := m.Complete(context.Background(), Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Calls() != 1 {
@@ -201,9 +201,6 @@ func TestMeteredAndRecorder(t *testing.T) {
 	pt, ct := stats.Tokens()
 	if pt == 0 || ct == 0 {
 		t.Errorf("tokens: %d, %d", pt, ct)
-	}
-	if len(rec.Calls) != 1 || rec.Calls[0].Prompt != p {
-		t.Errorf("recorder: %+v", rec.Calls)
 	}
 }
 

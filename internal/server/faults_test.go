@@ -166,36 +166,3 @@ func TestOutageDoesNotLeakSingleflightWaiters(t *testing.T) {
 		t.Fatalf("post-outage ask: status %d", resp.StatusCode)
 	}
 }
-
-// TestRetryMasksIntermittentFailures puts Retry between the server and a
-// model that fails every other call: the serving path must never surface a
-// 5xx, and answers must match the healthy model byte for byte.
-func TestRetryMasksIntermittentFailures(t *testing.T) {
-	f := factory(t)
-	noSleep := func(context.Context, time.Duration) error { return nil }
-	flaky := &llm.Retry{Inner: &llm.Flaky{Inner: f.sim, FailEvery: 2},
-		MaxAttempts: 3, Sleep: noSleep}
-	ts := httptest.NewServer(New(map[string]SessionFactory{"aep": &faultFactory{
-		testFactory: f, client: flaky, memo: nil}}))
-	defer ts.Close()
-	healthy := httptest.NewServer(New(map[string]SessionFactory{"aep": &faultFactory{
-		testFactory: f, client: f.sim, memo: nil}}))
-	defer healthy.Close()
-
-	ask := func(ts *httptest.Server, question string) (int, []byte) {
-		t.Helper()
-		_, created := postJSON(t, ts.URL+"/v1/sessions", map[string]string{"corpus": "aep"})
-		id, _ := created["session_id"].(string)
-		return rawPost(t, ts.URL+"/v1/sessions/"+id+"/ask", map[string]string{"question": question})
-	}
-	for _, e := range f.ds.Examples[:5] {
-		wantCode, want := ask(healthy, e.Question)
-		gotCode, got := ask(ts, e.Question)
-		if gotCode != wantCode || gotCode != http.StatusOK {
-			t.Fatalf("%q: flaky=%d healthy=%d", e.Question, gotCode, wantCode)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%q: retried answer differs from healthy answer", e.Question)
-		}
-	}
-}
