@@ -148,7 +148,8 @@ func BenchmarkServerMixed(b *testing.B) {
 }
 
 // BenchmarkSessionStore measures raw store throughput: create, touch, and
-// delete across shards with no HTTP or pipeline in the way.
+// delete from parallel goroutines on the store's one lock, with no HTTP or
+// pipeline in the way.
 func BenchmarkSessionStore(b *testing.B) {
 	st := newSessionStore(1024, 0)
 	b.ReportAllocs()

@@ -7,9 +7,9 @@
 // queries and memoized first-turn answers, so repeated questions across
 // users skip the pipeline instead of re-running it.
 //
-// The session registry is sharded and lock-striped (see store.go): requests
-// for different sessions proceed on different shard locks, eviction is
-// true-LRU in O(1), and sessions evicted while a request is in flight
+// The session registry is one map and one intrusive LRU list under one
+// mutex (see store.go): lookups and eviction are O(1), the cap is exact
+// once a create returns, and sessions evicted while a request is in flight
 // answer 410 Gone.
 //
 // Every session event is a persist.Record, and commit is the one place a

@@ -212,7 +212,7 @@ func TestWireDifferentialMemoized(t *testing.T) {
 }
 
 // TestServingStress hammers one memoized server with concurrent creates,
-// asks, feedback, history reads and deletes across all shards. Run under
+// asks, feedback, history reads and deletes of many sessions. Run under
 // -race in CI. Asserts the store loses no live session (every request
 // answers 200, or 404/410 only for ids this test deleted or the cap
 // evicted) and that concurrently-served answers are byte-identical to the

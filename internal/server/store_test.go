@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -47,7 +48,7 @@ func TestStoreCapHoldsUnderBulkInsert(t *testing.T) {
 	if st.len() != 8 {
 		t.Fatalf("len = %d, want 8", st.len())
 	}
-	// Exactly the 8 most recent creations survive, in every shard.
+	// Exactly the 8 most recent creations survive.
 	for i, id := range ids {
 		_, ok := st.get(id)
 		if want := i >= len(ids)-8; ok != want {
@@ -113,23 +114,55 @@ func TestStoreTTLExpiresIdleSessions(t *testing.T) {
 	}
 }
 
+// TestStoreCapHoldsUnderConcurrentPut checks that the cap is exact once a
+// put returns, however many creators race: every put over the cap evicts
+// one session.
+func TestStoreCapHoldsUnderConcurrentPut(t *testing.T) {
+	const limit, goroutines, puts = 8, 8, 500
+	st, _ := newTestStore(limit, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				st.put(fmt.Sprintf("g%d-%d", g, i), &session{})
+				if n := st.len(); n > limit {
+					t.Errorf("len = %d right after a put, cap is %d", n, limit)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if evicted, _ := st.stats(); evicted != goroutines*puts-limit {
+		t.Errorf("evicted = %d, want %d", evicted, goroutines*puts-limit)
+	}
+	if st.len() != limit {
+		t.Errorf("len = %d, want %d", st.len(), limit)
+	}
+}
+
+// TestStoreTTLSweepOnPut checks that a create sweeps every idle session,
+// without anyone ever looking them up again.
 func TestStoreTTLSweepOnPut(t *testing.T) {
 	st, now := newTestStore(0, time.Minute)
-	old := &session{}
-	st.put("old", old)
-	*now = now.Add(2 * time.Minute)
-	// Creating a session in the same shard sweeps that shard's expired tail
-	// without anyone ever looking the old session up again.
-	sh := st.shardFor("old")
-	id := "fresh"
-	for i := 0; st.shardFor(id) != sh; i++ {
-		id = fmt.Sprintf("fresh%d", i)
+	old := make([]*session, 4)
+	for i := range old {
+		old[i] = &session{}
+		st.put(fmt.Sprintf("old%d", i), old[i])
 	}
-	st.put(id, &session{})
-	if !old.gone.Load() {
-		t.Error("idle session should be swept by a same-shard create")
+	*now = now.Add(2 * time.Minute)
+	st.put("fresh", &session{})
+	for i, s := range old {
+		if !s.gone.Load() {
+			t.Errorf("idle session old%d should be swept by a create", i)
+		}
 	}
 	if st.len() != 1 {
 		t.Errorf("len = %d, want 1", st.len())
+	}
+	if _, expired := st.stats(); expired != int64(len(old)) {
+		t.Errorf("expired = %d, want %d", expired, len(old))
 	}
 }
