@@ -6,8 +6,8 @@
 // deterministic. Thousands of sessions asking the same first-turn question
 // therefore recompute the identical Answer through the full RAG → prompt →
 // LLM → parse → execute pipeline. AnswerMemo caches the finished *Answer
-// per (db, question) in a sharded bounded LRU and collapses concurrent
-// identical misses into one pipeline execution (singleflight).
+// per (db, question) in a bounded LRU under one mutex and collapses
+// concurrent identical misses into one pipeline execution (singleflight).
 //
 // Feedback turns are never memoized: a repair depends on the session's
 // current SQL and feedback text, which vary per session, and Session
@@ -23,7 +23,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -33,26 +32,18 @@ import (
 // (every distinct question of both shipped corpora) with room to spare.
 const DefaultMemoCapacity = 4096
 
-// memoShards stripes the memo's locks; question hashes spread uniformly,
-// so concurrent asks of different questions rarely contend.
-const memoShards = 16
-
-// AnswerMemo is a sharded, bounded LRU of finished Answers keyed by
-// (db, question), with singleflight collapsing of concurrent misses. Safe
-// for concurrent use. The zero value is not usable; build with
-// NewAnswerMemo.
+// AnswerMemo is a bounded LRU of finished Answers keyed by (db, question),
+// with singleflight collapsing of concurrent misses. One mutex guards the
+// list, its index and the in-flight table, like engine.Cache. Safe for
+// concurrent use. The zero value is not usable; build with NewAnswerMemo.
 type AnswerMemo struct {
-	capacity int // per-shard
-	shards   [memoShards]memoShard
-	hits     atomic.Int64
-	misses   atomic.Int64
-}
-
-type memoShard struct {
 	mu       sync.Mutex
+	capacity int
 	ll       *list.List // front = most recently used
 	entries  map[string]*list.Element
 	inflight map[string]*flight
+	hits     atomic.Int64
+	misses   atomic.Int64
 }
 
 type memoEntry struct {
@@ -81,14 +72,15 @@ func NewAnswerMemo(capacity int) *AnswerMemo {
 	if capacity <= 0 {
 		capacity = DefaultMemoCapacity
 	}
-	perShard := (capacity + memoShards - 1) / memoShards
-	m := &AnswerMemo{capacity: perShard}
-	for i := range m.shards {
-		m.shards[i].ll = list.New()
-		m.shards[i].entries = make(map[string]*list.Element)
-		m.shards[i].inflight = make(map[string]*flight)
+	return &AnswerMemo{
+		capacity: capacity,
+		ll:       list.New(),
+		// Sized for capacity up front: growing one map past a few hundred
+		// keys rehashes them all inside one Do, tens of microseconds that
+		// land in the ask tail while a memo fills.
+		entries:  make(map[string]*list.Element, capacity),
+		inflight: make(map[string]*flight),
 	}
-	return m
 }
 
 // Key namespaces: a question and a SQL text could collide as strings, so
@@ -96,12 +88,6 @@ func NewAnswerMemo(capacity int) *AnswerMemo {
 // occurs in neither.
 func askKey(db, question string) string { return "q\x00" + db + "\x00" + question }
 func sqlKey(db, sql string) string      { return "s\x00" + db + "\x00" + sql }
-
-func (m *AnswerMemo) shardFor(key string) *memoShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &m.shards[h.Sum32()&(memoShards-1)]
-}
 
 // Do returns the memoized Answer for a fresh question on (db, question),
 // computing it with fn on a miss. Concurrent calls for the same key while
@@ -124,19 +110,18 @@ func (m *AnswerMemo) DoSQL(ctx context.Context, db, sql string, fn func() (*Answ
 }
 
 func (m *AnswerMemo) do(ctx context.Context, key string, fn func() (*Answer, error)) (*Answer, error) {
-	sh := m.shardFor(key)
 	for {
-		sh.mu.Lock()
-		if el, ok := sh.entries[key]; ok {
-			sh.ll.MoveToFront(el)
+		m.mu.Lock()
+		if el, ok := m.entries[key]; ok {
+			m.ll.MoveToFront(el)
 			ans := el.Value.(*memoEntry).ans
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			m.hits.Add(1)
 			return ans, nil
 		}
-		if fl, ok := sh.inflight[key]; ok {
+		if fl, ok := m.inflight[key]; ok {
 			fl.waiters.Add(1)
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			select {
 			case <-fl.done:
 				if fl.handoff {
@@ -153,8 +138,8 @@ func (m *AnswerMemo) do(ctx context.Context, key string, fn func() (*Answer, err
 			}
 		}
 		fl := &flight{done: make(chan struct{})}
-		sh.inflight[key] = fl
-		sh.mu.Unlock()
+		m.inflight[key] = fl
+		m.mu.Unlock()
 		m.misses.Add(1)
 
 		fl.ans, fl.err = fn()
@@ -165,46 +150,27 @@ func (m *AnswerMemo) do(ctx context.Context, key string, fn func() (*Answer, err
 			fl.handoff = true
 		}
 
-		sh.mu.Lock()
-		delete(sh.inflight, key)
+		m.mu.Lock()
+		delete(m.inflight, key)
 		if fl.err == nil {
-			sh.entries[key] = sh.ll.PushFront(&memoEntry{key: key, ans: fl.ans})
-			for sh.ll.Len() > m.capacity {
-				old := sh.ll.Back()
-				sh.ll.Remove(old)
-				delete(sh.entries, old.Value.(*memoEntry).key)
+			m.entries[key] = m.ll.PushFront(&memoEntry{key: key, ans: fl.ans})
+			for m.ll.Len() > m.capacity {
+				old := m.ll.Back()
+				m.ll.Remove(old)
+				delete(m.entries, old.Value.(*memoEntry).key)
 			}
 		}
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		close(fl.done)
 		return fl.ans, fl.err
 	}
 }
 
-// Get returns the memoized Answer for (db, question) without computing.
-func (m *AnswerMemo) Get(db, question string) (*Answer, bool) {
-	key := askKey(db, question)
-	sh := m.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
-	if !ok {
-		return nil, false
-	}
-	sh.ll.MoveToFront(el)
-	return el.Value.(*memoEntry).ans, true
-}
-
-// Len reports the number of memoized answers across shards.
+// Len reports the number of memoized answers.
 func (m *AnswerMemo) Len() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ll.Len()
 }
 
 // Stats reports cumulative (hits, misses); collapsed singleflight waiters

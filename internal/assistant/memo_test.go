@@ -34,12 +34,25 @@ func TestMemoDoCachesAndPromotes(t *testing.T) {
 	if hits, misses := m.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
 	}
-	if got, ok := m.Get("db", "q"); !ok || got != a1 {
-		t.Errorf("Get = (%v, %v), want the cached answer", got, ok)
+	if got, ok := resident(m, "db", "q"); !ok || got != a1 {
+		t.Errorf("resident = (%v, %v), want the cached answer", got, ok)
 	}
-	if _, ok := m.Get("db", "other"); ok {
-		t.Error("Get of an unknown question should miss")
+	if _, ok := resident(m, "db", "other"); ok {
+		t.Error("an unknown question should miss")
 	}
+}
+
+var errNotResident = errors.New("not resident")
+
+// resident reports whether the memo holds an answer for (db, question),
+// promoting it as a hit does. It probes through Do with a fn that returns
+// errNotResident instead of computing, and errors are not cached, so a
+// miss leaves the memo's entries as they were.
+func resident(m *AnswerMemo, db, question string) (*Answer, bool) {
+	ans, err := m.Do(context.Background(), db, question, func() (*Answer, error) {
+		return nil, errNotResident
+	})
+	return ans, err == nil
 }
 
 // TestMemoSingleflight proves the exactly-once contract: N concurrent asks
@@ -85,11 +98,9 @@ func TestMemoSingleflight(t *testing.T) {
 	// Wait until all followers are parked on the flight before releasing it,
 	// so this test genuinely exercises the waiter path.
 	fl := func() *flight {
-		key := askKey("db", "q")
-		sh := m.shardFor(key)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.inflight[key]
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.inflight[askKey("db", "q")]
 	}()
 	if fl == nil {
 		t.Fatal("no inflight entry while fn is blocked")
@@ -186,23 +197,60 @@ func TestMemoKeyNamespaces(t *testing.T) {
 	}
 }
 
-func TestMemoEvictsLRU(t *testing.T) {
-	// Capacity 16 spreads to exactly 1 entry per shard, so any two keys that
-	// land in the same shard exercise eviction of the least recently used.
-	m := NewAnswerMemo(16)
-	const n = 64
-	for i := 0; i < n; i++ {
+// TestMemoHoldsCapacity checks that a memo of capacity n keeps n distinct
+// answers: none is evicted before the memo is full.
+func TestMemoHoldsCapacity(t *testing.T) {
+	const capacity = 16
+	m := NewAnswerMemo(capacity)
+	for i := 0; i < capacity; i++ {
 		q := fmt.Sprintf("question %d", i)
 		m.Do(context.Background(), "db", q, func() (*Answer, error) {
 			return &Answer{SQL: q}, nil
 		})
 	}
-	if got := m.Len(); got > 16 {
-		t.Errorf("memo holds %d entries, capacity is 16", got)
+	if got := m.Len(); got != capacity {
+		t.Errorf("memo holds %d entries, want %d", got, capacity)
 	}
-	// The most recent insertion into its shard must still be resident.
-	if _, ok := m.Get("db", fmt.Sprintf("question %d", n-1)); !ok {
-		t.Error("most recently used entry was evicted")
+	for i := 0; i < capacity; i++ {
+		q := fmt.Sprintf("question %d", i)
+		if got, ok := resident(m, "db", q); !ok || got.SQL != q {
+			t.Errorf("%q: resident = (%v, %v), want its answer", q, got, ok)
+		}
+	}
+}
+
+// TestMemoEvictsLRU checks strict LRU order: after more inserts than the
+// capacity and one promoting hit, exactly the capacity most recently used
+// keys are resident.
+func TestMemoEvictsLRU(t *testing.T) {
+	const capacity, n, more = 16, 64, 4
+	m := NewAnswerMemo(capacity)
+	put := func(i int) {
+		q := fmt.Sprintf("question %d", i)
+		m.Do(context.Background(), "db", q, func() (*Answer, error) {
+			return &Answer{SQL: q}, nil
+		})
+	}
+	for i := 0; i < n; i++ {
+		put(i)
+	}
+	// Promote the least recently used key, then insert more: the keys after
+	// it go first, and it stays.
+	promoted := n - capacity
+	if _, ok := resident(m, "db", fmt.Sprintf("question %d", promoted)); !ok {
+		t.Fatalf("question %d was evicted before the memo was over capacity", promoted)
+	}
+	for i := n; i < n+more; i++ {
+		put(i)
+	}
+	if got := m.Len(); got != capacity {
+		t.Errorf("memo holds %d entries, want %d", got, capacity)
+	}
+	for i := 0; i < n+more; i++ {
+		want := i == promoted || i > promoted+more
+		if _, ok := resident(m, "db", fmt.Sprintf("question %d", i)); ok != want {
+			t.Errorf("question %d resident=%v, want %v", i, ok, want)
+		}
 	}
 }
 
@@ -278,7 +326,7 @@ func TestMemoCanceledLeaderHandsOffToWaiters(t *testing.T) {
 	if n := runs.Load(); n != 2 {
 		t.Errorf("fn ran %d times, want 2 (canceled leader + one re-run)", n)
 	}
-	if got, ok := m.Get("db", "q"); !ok || got.SQL != "SELECT 42" {
+	if got, ok := resident(m, "db", "q"); !ok || got.SQL != "SELECT 42" {
 		t.Errorf("re-run result not cached: (%v, %v)", got, ok)
 	}
 }
