@@ -24,7 +24,9 @@ const maxReplicaBody = 64 << 20
 // replStripes is the lock-striping factor of per-session replication: the
 // owner must never interleave a session's full-resync frames with its
 // incremental frames (the follower would retain duplicate records), so both
-// paths serialize on the session's stripe.
+// paths serialize on the session's stripe. A stripe is held across the
+// follower POST and its flush, so one lock would serialise the replication
+// of every session; the stripes keep two sessions' round trips apart.
 const replStripes = 16
 
 // NodeConfig configures NewNode.
