@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -20,6 +21,7 @@ import (
 
 	"fisql/internal/obs"
 	"fisql/internal/persist"
+	"fisql/internal/pubsub"
 )
 
 // readFrame parses one SSE frame (optional id line, event line, data line)
@@ -864,5 +866,92 @@ func TestEventsFanoutScenario(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("fisql_pubsub_subscribers = %d after every stream closed, want 0", got)
 		}
+	}
+}
+
+// TestLifecyclePayloadBytes pins the open and delete events' data byte for
+// byte, for server-issued ids and for preset ones with <, &, " and a
+// non-ASCII rune, on the live topic and on the topic crash recovery
+// rebuilds. Of each kind, the first session is deleted live and the second
+// survives the crash and is deleted on the recovered server.
+func TestLifecyclePayloadBytes(t *testing.T) {
+	const db = "experience_platform"
+	path := filepath.Join(t.TempDir(), "sessions.journal")
+	j, err := persist.Open(path, persist.Options{Fsync: persist.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(map[string]SessionFactory{"aep": factory(t)}, WithJournal(j), WithPresetSessionIDs())
+
+	do := func(srv *Server, method, path, presetID, body string) {
+		t.Helper()
+		r := httptest.NewRequest(method, path, strings.NewReader(body))
+		if presetID != "" {
+			r.Header.Set("X-Fisql-Session-Id", presetID)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, w.Code, w.Body)
+		}
+	}
+	next := func(sub *pubsub.Subscription) pubsub.Event {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		ev, missed, ok := sub.Next(ctx)
+		if !ok || missed != 0 {
+			t.Fatalf("no event (ok=%v, missed %d)", ok, missed)
+		}
+		return ev
+	}
+	// check reads the topic from its first event, the open one, and, when
+	// deleteIt, deletes the session and reads the delete event off the
+	// same subscription, which drains the closed topic's ring.
+	type sid struct{ id, json string } // the id and its JSON string bytes
+	check := func(srv *Server, s sid, where string, deleteIt bool) {
+		t.Helper()
+		sub, err := srv.hub.Subscribe(s.id, 0)
+		if err != nil {
+			t.Fatalf("%s %q: %v", where, s.id, err)
+		}
+		defer sub.Cancel()
+		ev := next(sub)
+		if want := `{"corpus":"aep","db":"` + db + `","session_id":` + s.json + `}`; ev.Type != "open" || string(ev.Data) != want {
+			t.Errorf("%s %q: first event %s %s, want open %s", where, s.id, ev.Type, ev.Data, want)
+		}
+		if !deleteIt {
+			return
+		}
+		do(srv, http.MethodDelete, "/v1/sessions/"+url.PathEscape(s.id), "", "")
+		ev = next(sub)
+		if want := `{"session_id":` + s.json + `}`; ev.Type != "delete" || string(ev.Data) != want {
+			t.Errorf("%s %q: last event %s %s, want delete %s", where, s.id, ev.Type, ev.Data, want)
+		}
+	}
+
+	body := `{"corpus":"aep","db":"` + db + `"}`
+	issued := []sid{{"s1", `"s1"`}, {"s2", `"s2"`}}
+	preset := []sid{{`s<1>&"é"`, `"s\u003c1\u003e\u0026\"é\""`}, {`s<2>&"é"`, `"s\u003c2\u003e\u0026\"é\""`}}
+	for i, s := range issued {
+		do(srv, http.MethodPost, "/v1/sessions", "", body)
+		check(srv, s, "live", i == 0)
+	}
+	for i, s := range preset {
+		do(srv, http.MethodPost, "/v1/sessions", s.id, body)
+		check(srv, s, "live", i == 0)
+	}
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := persist.Open(path, persist.Options{Fsync: persist.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	srv2 := New(map[string]SessionFactory{"aep": factory(t)}, WithJournal(j2), WithPresetSessionIDs())
+	for _, s := range []sid{issued[1], preset[1]} {
+		check(srv2, s, "recovered", true)
 	}
 }
