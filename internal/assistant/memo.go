@@ -8,6 +8,8 @@
 // LLM → parse → execute pipeline. AnswerMemo caches the finished *Answer
 // per (db, question) in a bounded LRU under one mutex and collapses
 // concurrent identical misses into one pipeline execution (singleflight).
+// A hit allocates nothing: the key is built in a stack buffer and looked up
+// without being copied; only a miss copies it into the string it stores.
 //
 // Feedback turns are never memoized: a repair depends on the session's
 // current SQL and feedback text, which vary per session, and Session
@@ -83,11 +85,17 @@ func NewAnswerMemo(capacity int) *AnswerMemo {
 	}
 }
 
-// Key namespaces: a question and a SQL text could collide as strings, so
-// each kind gets its own prefix. db and payload are joined with NUL, which
-// occurs in neither.
-func askKey(db, question string) string { return "q\x00" + db + "\x00" + question }
-func sqlKey(db, sql string) string      { return "s\x00" + db + "\x00" + sql }
+// appendKey appends a memo key to dst. A question and a SQL text could
+// collide as strings, so each kind gets its own prefix byte ('q' or 's').
+// db and text are joined with NUL, which occurs in neither. The maps stay
+// keyed by string: a struct key of kind, db and text would double the slot
+// size of the presized index map (DESIGN.md, "Answer memo").
+func appendKey(dst []byte, kind byte, db, text string) []byte {
+	dst = append(dst, kind, 0)
+	dst = append(dst, db...)
+	dst = append(dst, 0)
+	return append(dst, text...)
+}
 
 // Do returns the memoized Answer for a fresh question on (db, question),
 // computing it with fn on a miss. Concurrent calls for the same key while
@@ -96,7 +104,8 @@ func sqlKey(db, sql string) string      { return "s\x00" + db + "\x00" + sql }
 // whose ctx is canceled unblocks with ctx.Err() without disturbing the
 // computation.
 func (m *AnswerMemo) Do(ctx context.Context, db, question string, fn func() (*Answer, error)) (*Answer, error) {
-	return m.do(ctx, askKey(db, question), fn)
+	var buf [256]byte
+	return m.do(ctx, appendKey(buf[:0], 'q', db, question), fn)
 }
 
 // DoSQL returns the memoized executed Answer for (db, sql). Answer
@@ -106,20 +115,23 @@ func (m *AnswerMemo) Do(ctx context.Context, db, question string, fn func() (*An
 // session history and always runs live, but two sessions whose corrections
 // converge on the same SQL share one execution.
 func (m *AnswerMemo) DoSQL(ctx context.Context, db, sql string, fn func() (*Answer, error)) (*Answer, error) {
-	return m.do(ctx, sqlKey(db, sql), fn)
+	var buf [256]byte
+	return m.do(ctx, appendKey(buf[:0], 's', db, sql), fn)
 }
 
-func (m *AnswerMemo) do(ctx context.Context, key string, fn func() (*Answer, error)) (*Answer, error) {
+// do looks kb up without allocating: Go indexes a map by string(kb)
+// without copying kb. Only a miss copies it into the key string it stores.
+func (m *AnswerMemo) do(ctx context.Context, kb []byte, fn func() (*Answer, error)) (*Answer, error) {
 	for {
 		m.mu.Lock()
-		if el, ok := m.entries[key]; ok {
+		if el, ok := m.entries[string(kb)]; ok {
 			m.ll.MoveToFront(el)
 			ans := el.Value.(*memoEntry).ans
 			m.mu.Unlock()
 			m.hits.Add(1)
 			return ans, nil
 		}
-		if fl, ok := m.inflight[key]; ok {
+		if fl, ok := m.inflight[string(kb)]; ok {
 			fl.waiters.Add(1)
 			m.mu.Unlock()
 			select {
@@ -137,6 +149,7 @@ func (m *AnswerMemo) do(ctx context.Context, key string, fn func() (*Answer, err
 				return nil, ctx.Err()
 			}
 		}
+		key := string(kb)
 		fl := &flight{done: make(chan struct{})}
 		m.inflight[key] = fl
 		m.mu.Unlock()

@@ -100,7 +100,7 @@ func TestMemoSingleflight(t *testing.T) {
 	fl := func() *flight {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.inflight[askKey("db", "q")]
+		return m.inflight[string(appendKey(nil, 'q', "db", "q"))]
 	}()
 	if fl == nil {
 		t.Fatal("no inflight entry while fn is blocked")

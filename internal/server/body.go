@@ -26,10 +26,11 @@ const bodyWindow = 4 << 10
 // always falls back.
 var windowPool = sync.Pool{New: func() any { return new([bodyWindow + 1]byte) }}
 
-// decodeBody decodes a POST body into v under the configured size cap. A
-// body over the cap answers 413 (instead of letting a hostile client feed
-// the decoder without bound), malformed JSON answers 400; either way the
-// response has been written and the caller just returns.
+// decodeBody decodes a POST body into v, an *askReq, *feedbackReq or
+// *createReq, under the configured size cap. A body over the cap answers
+// 413 (instead of letting a hostile client feed the decoder without bound),
+// malformed JSON answers 400; either way the response has been written and
+// the caller just returns.
 //
 // The body is read into the window, and after each Read the bytes so far
 // are scanned before the Read's error is looked at, as json.Decoder does.
@@ -38,11 +39,12 @@ var windowPool = sync.Pool{New: func() any { return new([bodyWindow + 1]byte) }}
 // never read, as Decode never reads it. Otherwise — a body that cannot be
 // plain, a full window, a read error before the object ends — json.Decoder
 // decodes the bytes already read followed by the rest of the body, or by
-// the Read's error replayed, and answers as it alone would.
+// the Read's error replayed, and answers as it alone would. No path hands v
+// to anything that keeps it, so the caller's struct stays on its stack.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	p := plainScan{fields: plainFields(v)}
 	if p.fields == nil {
-		return s.decodeJSON(w, r.Body, v)
+		panic("decodeBody: not a request type")
 	}
 	win := windowPool.Get().(*[bodyWindow + 1]byte)
 	defer windowPool.Put(win)
@@ -68,7 +70,26 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	} else if err != nil {
 		rest = errReader{err}
 	}
-	return s.decodeJSON(w, io.NopCloser(io.MultiReader(bytes.NewReader(buf[:n]), rest)), v)
+	body := io.NopCloser(io.MultiReader(bytes.NewReader(buf[:n]), rest))
+	switch v := v.(type) {
+	case *askReq:
+		return decodeFresh(s, w, body, v)
+	case *feedbackReq:
+		return decodeFresh(s, w, body, v)
+	default:
+		return decodeFresh(s, w, body, v.(*createReq))
+	}
+}
+
+// decodeFresh runs decodeJSON on a fresh T and copies it into v, whether or
+// not decoding succeeded, so it leaves v as decoding into v would. v itself
+// never reaches the decoder, and the caller's request struct can live on its
+// stack.
+func decodeFresh[T any](s *Server, w http.ResponseWriter, body io.ReadCloser, v *T) bool {
+	fresh := new(T)
+	ok := s.decodeJSON(w, body, fresh)
+	*v = *fresh
+	return ok
 }
 
 // decodeJSON is decodeBody's general path. http.MaxBytesReader gets the

@@ -43,15 +43,23 @@ import (
 // counts for this metric).
 var subscriberLagBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// openPayload announces the session's coordinates as its first event.
+// openPayload announces the session's coordinates as its first event. The
+// lifecycle payloads' fields are in sorted key order, so they encode as the
+// maps they replaced did.
 func openPayload(id, corpus, db string) pubsub.Payload {
-	data, _ := json.Marshal(map[string]string{"session_id": id, "corpus": corpus, "db": db})
+	data, _ := json.Marshal(struct {
+		Corpus    string `json:"corpus"`
+		DB        string `json:"db"`
+		SessionID string `json:"session_id"`
+	}{corpus, db, id})
 	return pubsub.Payload{Type: "open", Data: data}
 }
 
 // deletePayload is the terminal event of an ended (not moved) session.
 func deletePayload(id string) pubsub.Payload {
-	data, _ := json.Marshal(map[string]string{"session_id": id})
+	data, _ := json.Marshal(struct {
+		SessionID string `json:"session_id"`
+	}{id})
 	return pubsub.Payload{Type: "delete", Data: data}
 }
 
