@@ -8,8 +8,8 @@
 // LLM → parse → execute pipeline. AnswerMemo caches the finished *Answer
 // per (db, question) in a bounded LRU under one mutex and collapses
 // concurrent identical misses into one pipeline execution (singleflight).
-// A hit allocates nothing: the key is built in a stack buffer and looked up
-// without being copied; only a miss copies it into the string it stores.
+// A hit allocates nothing: the key is built in a stack buffer, and only a
+// miss copies it into the string the memo stores.
 //
 // Feedback turns are never memoized: a repair depends on the session's
 // current SQL and feedback text, which vary per session, and Session
@@ -119,8 +119,8 @@ func (m *AnswerMemo) DoSQL(ctx context.Context, db, sql string, fn func() (*Answ
 	return m.do(ctx, appendKey(buf[:0], 's', db, sql), fn)
 }
 
-// do looks kb up without allocating: Go indexes a map by string(kb)
-// without copying kb. Only a miss copies it into the key string it stores.
+// do indexes both maps with string(kb), which Go compiles without copying
+// kb, so a hit allocates nothing.
 func (m *AnswerMemo) do(ctx context.Context, kb []byte, fn func() (*Answer, error)) (*Answer, error) {
 	for {
 		m.mu.Lock()

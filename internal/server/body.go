@@ -82,9 +82,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // decodeFresh runs decodeJSON on a fresh T and copies it into v, whether or
-// not decoding succeeded, so it leaves v as decoding into v would. v itself
-// never reaches the decoder, and the caller's request struct can live on its
-// stack.
+// not decoding succeeded, so it leaves a zero v (every handler's is) as
+// decoding into v would. v itself never reaches the decoder, and the
+// caller's request struct can live on its stack.
 func decodeFresh[T any](s *Server, w http.ResponseWriter, body io.ReadCloser, v *T) bool {
 	fresh := new(T)
 	ok := s.decodeJSON(w, body, fresh)
